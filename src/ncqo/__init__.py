@@ -18,7 +18,7 @@ from .errors import (
 from .fock import FockVector, OperatorMatrix
 from .states import DeformedState, StateFamily, StateKind, build_cat, build_coherent
 from .observables import NumberMoments, QuadratureMoments
-from .beamsplitter import BipartiteState, DensityMatrix, SplitterParams
+from .beamsplitter import SplitterParams
 
 __all__ = [
     "__version__",
@@ -39,7 +39,5 @@ __all__ = [
     "build_coherent",
     "QuadratureMoments",
     "NumberMoments",
-    "BipartiteState",
-    "DensityMatrix",
     "SplitterParams",
 ]

@@ -4,24 +4,29 @@ The splitter acts on |n> (x) |0> as
 
     B(|n> (x) |0>) = sum_q binom(n, q)^(1/2) t^q r^(n-q) |q> (x) |n-q>,
 
-with t = cos(theta/2) and r = -e^{i phi} sin(theta/2). Linear entropy
-S = 1 - Tr rho_A^2 is evaluated three ways: a density-matrix oracle, the
-closed quadruple sum with the closed-form norm, and (for small bases) a
-naive four-index loop kept as a micro-oracle for the factored sum.
+with t = cos(theta/2) and r = -e^{i phi} sin(theta/2), so the output of
+sum_n c_n |n> (x) |0> is the dense amplitude matrix
+
+    A[q, m] = c_{q+m} binom(q+m, q)^(1/2) t^q r^m,   zero for q + m >= K,
+
+and rho_A = A A^+. Linear entropy S = 1 - Tr rho_A^2 = 1 - ||A A^+||_F^2 is
+evaluated through this one kernel twice: as a density-matrix oracle on the
+renormalized state, and as the closed coherent-state sum on the raw
+coefficients with the closed-form norm. A naive four-index loop is kept as
+a micro-oracle for the closed sum at small cutoffs.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammaln
 
 from .deformation import amplitude_inv_f_factorial, coefficient_C
-from .errors import CutoffError, DimensionError
-from .fock import FockVector
+from .errors import CutoffError
+from .fock import FockVector, basis_state
 from .states import (
     DeformedState,
     StateFamily,
@@ -29,6 +34,7 @@ from .states import (
     build_state,
     coherent_norm_sq,
     default_cutoff,
+    log_factorials,
     raw_coherent_coeffs,
 )
 
@@ -55,106 +61,45 @@ class SplitterParams:
         return -cmath.exp(1j * self.phi) * math.sin(self.theta / 2.0)
 
 
-@dataclass(frozen=True)
-class BipartiteState:
-    """Sparse two-mode state: map (q, m) occupation -> complex amplitude."""
-
-    cutoff_a: int
-    cutoff_b: int
-    amplitudes: dict = field(default_factory=dict)
-
-    @property
-    def norm_sq(self) -> float:
-        return float(sum(abs(v) ** 2 for v in self.amplitudes.values()))
-
-    def dense(self) -> np.ndarray:
-        out = np.zeros((self.cutoff_a, self.cutoff_b), dtype=np.complex128)
-        for (q, m), v in self.amplitudes.items():
-            out[q, m] = v
-        return out
+def _amplitude_matrix(coeffs: np.ndarray, params: SplitterParams) -> np.ndarray:
+    """A[q, m] = c_{q+m} sqrt(binom(q+m, q)) t^q r^m, zero where q + m >= K."""
+    k = coeffs.size
+    n = np.arange(k)
+    total = n[:, None] + n[None, :]
+    inside = total < k
+    total = np.where(inside, total, 0)
+    lf = log_factorials(k)
+    sqrt_binom = np.exp(0.5 * (lf[total] - lf[:, None] - lf[None, :]))
+    amp = coeffs[total] * sqrt_binom * np.power(params.t, n)[:, None] * np.power(params.r, n)
+    return np.where(inside, amp, 0.0)
 
 
-@dataclass(frozen=True)
-class DensityMatrix:
-    mat: np.ndarray
-
-    def __post_init__(self):
-        arr = np.ascontiguousarray(self.mat, dtype=np.complex128)
-        if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
-            raise DimensionError("density matrix must be square")
-        arr.setflags(write=False)
-        object.__setattr__(self, "mat", arr)
-
-    @property
-    def dim(self) -> int:
-        return self.mat.shape[0]
-
-    @property
-    def trace(self) -> float:
-        return float(np.trace(self.mat).real)
-
-    @property
-    def purity(self) -> float:
-        return float(np.sum(np.abs(self.mat) ** 2))
-
-
-def _sqrt_binom(n: int, q: int) -> float:
-    return math.exp(0.5 * (gammaln(n + 1) - gammaln(q + 1) - gammaln(n - q + 1)))
-
-
-def split_fock(n: int, params: SplitterParams) -> BipartiteState:
-    """Splitter action on |n> (x) |0>: exactly n+1 amplitudes, unit total weight."""
-    if n < 0:
-        raise ValueError("n >= 0 required")
-    t, r = params.t, params.r
-    amps = {}
-    for q in range(n + 1):
-        amps[(q, n - q)] = _sqrt_binom(n, q) * t**q * r ** (n - q)
-    return BipartiteState(cutoff_a=n + 1, cutoff_b=n + 1, amplitudes=amps)
-
-
-def split_state(state: DeformedState | FockVector, params: SplitterParams) -> BipartiteState:
-    """Linearity of split_fock over the Fock expansion of a normalized input."""
+def split_state(state: DeformedState | FockVector, params: SplitterParams) -> np.ndarray:
+    """Splitter output A[q, m] of a normalized input (x) vacuum, K x K for cutoff K."""
     vec = state.vector if isinstance(state, DeformedState) else state
     if not vec.is_normalized(1e-10):
         raise ValueError("split_state expects a normalized input")
-    k = vec.cutoff
-    t, r = params.t, params.r
-    amps: dict = {}
-    for n in range(k):
-        c = vec.coeffs[n]
-        if c == 0.0:
-            continue
-        for q in range(n + 1):
-            amps[(q, n - q)] = amps.get((q, n - q), 0.0) + c * _sqrt_binom(n, q) * t**q * r ** (
-                n - q
-            )
-    return BipartiteState(cutoff_a=k, cutoff_b=k, amplitudes=amps)
+    return _amplitude_matrix(vec.coeffs, params)
 
 
-def reduced_density(bipartite: BipartiteState) -> DensityMatrix:
-    """Partial trace over mode b."""
-    amp = bipartite.dense()
-    return DensityMatrix(amp @ amp.conj().T)
+def split_fock(n: int, params: SplitterParams) -> np.ndarray:
+    """Splitter action on |n> (x) |0>: (n+1) x (n+1), nonzero only on q + m = n."""
+    if n < 0:
+        raise ValueError("n >= 0 required")
+    return split_state(basis_state(n, n + 1), params)
 
 
-def linear_entropy_oracle(rho: DensityMatrix) -> float:
+def reduced_density(amplitudes: np.ndarray) -> np.ndarray:
+    """Partial trace over mode b: rho = A A^+."""
+    return amplitudes @ amplitudes.conj().T
+
+
+def linear_entropy_oracle(rho: np.ndarray) -> float:
     """S = 1 - Tr rho^2 = 1 - sum |rho_ij|^2."""
-    return 1.0 - rho.purity
+    return 1.0 - float(np.sum(np.abs(rho) ** 2))
 
 
-def _ghat(alpha: complex, tau: float, cutoff: int, exact: bool) -> np.ndarray:
-    """C(alpha, k) / f(k)! without the 1/sqrt(k!) (absorbed in the factored sum)."""
-    c = np.array(
-        [coefficient_C(alpha, k, tau, exact_ratios=exact) for k in range(cutoff)],
-        dtype=np.complex128,
-    )
-    inv_f = np.array([amplitude_inv_f_factorial(k, tau, exact=exact) for k in range(cutoff)])
-    return c * inv_f
-
-
-def _check_entropy_tail(alpha: complex, tau: float, cutoff: int, exact: bool) -> None:
-    raw = raw_coherent_coeffs(alpha, tau, cutoff, exact=exact)
+def _check_entropy_tail(raw: np.ndarray, alpha: complex, cutoff: int) -> None:
     w = np.abs(raw) ** 2
     if float(w[-1]) > 1e-10 * float(np.sum(w)):
         raise CutoffError(
@@ -174,33 +119,25 @@ def linear_entropy_closed(
     """Closed quadruple sum for the coherent-state linear entropy.
 
     All four Fock indices range so that every index stays below the cutoff.
-    Evaluated in factored O(K^3) form: with ghat_k = C(alpha,k)/f(k)! and
-    W_qs = sum_m |r|^(2m)/m! ghat_{m+q} conj(ghat_{m+s}),
+    With ghat_k = C(alpha,k)/f(k)! and W_qs = sum_m |r|^(2m)/m! ghat_{m+q} conj(ghat_{m+s}),
 
         S = 1 - (1/N^4) sum_{q,s} t^(2(q+s)) / (q! s!) |W_qs|^2,
 
-    where N^2 is the closed-form norm (first-order); this is the one place
-    the closed norm is consumed, so the defect against the renormalized
-    density-matrix oracle is O(tau^2).
+    which is the splitter kernel on the raw (unnormalized) coefficients,
+    |rho_qs|^2 with rho = A A^+, divided by the closed N^4. N^2 is the
+    first-order closed-form norm; this is the one place the closed norm is
+    consumed, so the defect against the renormalized density-matrix oracle
+    is O(tau^2).
 
     check_tail=False skips the convergence guard; used when comparing
     against the naive quadruple loop at deliberately small cutoffs.
     """
+    raw = raw_coherent_coeffs(alpha, tau, cutoff, exact=exact)
     if check_tail:
-        _check_entropy_tail(alpha, tau, cutoff, exact)
-    gh = _ghat(alpha, tau, cutoff, exact)
+        _check_entropy_tail(raw, alpha, cutoff)
+    rho = reduced_density(_amplitude_matrix(raw, params))
     n2 = coherent_norm_sq(alpha, tau, strict=False)
-    t2 = params.t**2
-    r2 = abs(params.r) ** 2
-    inv_fact = np.exp(-gammaln(np.arange(cutoff) + 1.0))
-    total = 0.0
-    for q in range(cutoff):
-        for s in range(cutoff):
-            mmax = cutoff - max(q, s)
-            m = np.arange(mmax)
-            w = np.sum((r2**m) * inv_fact[:mmax] * gh[m + q] * np.conj(gh[m + s]))
-            total += (t2 ** (q + s)) * inv_fact[q] * inv_fact[s] * abs(w) ** 2
-    return 1.0 - total / n2**2
+    return 1.0 - float(np.sum(np.abs(rho) ** 2)) / n2**2
 
 
 def linear_entropy_quadruple(
@@ -210,8 +147,18 @@ def linear_entropy_quadruple(
     cutoff: int,
     exact: bool = False,
 ) -> float:
-    """Naive four-index evaluation of the closed sum; micro-oracle for K <= ~20."""
-    gh = _ghat(alpha, tau, cutoff, exact)
+    """Naive four-index evaluation of the closed sum; micro-oracle for K <= ~20.
+
+    Builds ghat_k from the scalar deformation references, so it checks the
+    coefficient table as well as the kernel.
+    """
+    gh = np.array(
+        [
+            coefficient_C(alpha, k, tau, exact_ratios=exact)
+            * amplitude_inv_f_factorial(k, tau, exact=exact)
+            for k in range(cutoff)
+        ]
+    )
     n2 = coherent_norm_sq(alpha, tau, strict=False)
     t2 = params.t**2
     r2 = abs(params.r) ** 2

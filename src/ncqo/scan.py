@@ -1,7 +1,7 @@
 """Grid scans over the complex-alpha plane and tau sweeps, with CSV/JSON emission.
 
-Cells are independent pure computations, evaluated tau-major then im then
-re in a deterministic order regardless of worker count. Cells that violate
+Cells are independent pure computations, evaluated serially tau-major then
+im then re, so the row order is deterministic. Cells that violate
 a state precondition (the odd cat at alpha ~ 0) carry a NaN sentinel and
 valid=False instead of aborting the scan.
 """
@@ -10,8 +10,6 @@ from __future__ import annotations
 
 import json
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -152,31 +150,15 @@ def _evaluate_cell(spec: ScanSpec, alpha: complex, tau: float) -> ScanRow:
     return ScanRow(alpha.real, alpha.imag, tau, float(value), valid, warn)
 
 
-def _worker_count() -> int:
-    env = os.environ.get("NCQO_THREADS")
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError as exc:
-            raise ConfigError(f"NCQO_THREADS is not an integer: {env!r}") from exc
-    return os.cpu_count() or 1
-
-
 def run_scan(spec: ScanSpec) -> ScanTable:
     """Evaluate every grid cell; row order is tau-major, then im, then re."""
     spec.validate()
-    cells = [
-        (complex(re, im), tau)
+    rows = [
+        _evaluate_cell(spec, complex(re, im), tau)
         for tau in spec.tau_list
         for im in spec.grid.im_values
         for re in spec.grid.re_values
     ]
-    workers = _worker_count()
-    if workers == 1:
-        rows = [_evaluate_cell(spec, a, t) for a, t in cells]
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(lambda c: _evaluate_cell(spec, *c), cells))
     metadata = {
         "quantity": spec.quantity.value,
         "kind": spec.family.value,

@@ -17,9 +17,7 @@ from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
-from scipy.special import gammaln
 
-from .deformation import amplitude_inv_f_factorial, coefficient_C
 from .errors import CutoffError, DegenerateStateError, PerturbativeBreakdownError
 from .fock import FockVector
 
@@ -110,16 +108,44 @@ def perturbative_warning_indicator(alpha: complex, tau: float) -> bool:
     return (1.0 - tau * r - tau * r**2 / 4.0) < 0.5
 
 
+def log_factorials(k: int) -> np.ndarray:
+    """log(n!) for n < k, as a cumulative sum of logs."""
+    out = np.zeros(k)
+    out[1:] = np.cumsum(np.log(np.arange(1, k)))
+    return out
+
+
+def coefficient_table(alpha: complex, tau: float, cutoff: int, exact: bool = False) -> np.ndarray:
+    """ghat_n = C(alpha, n) / f(n)! for every n < cutoff, in either coefficient mode.
+
+    The vectorized form of deformation.coefficient_C times
+    deformation.amplitude_inv_f_factorial, which stay as its scalar
+    references: C = alpha^n - (tau/16) alpha^(n+4) f(n)!/f(n+4)!
+    + (tau/16) alpha^(n-4) n!/(n-4)! f(n)!/f(n-4)!, the last term for n >= 4
+    only. In first-order mode the f-ratios are 1 and 1/f(n)! = 1 - tau n(3+n)/8;
+    in exact mode both come from the exact f^2(n)!.
+    """
+    n = np.arange(cutoff)
+    power = np.power(complex(alpha), np.arange(cutoff + 4))
+    if exact:
+        f2 = 1.0 + tau * (1 + np.arange(cutoff + 4)) / 2.0
+        quad = f2[1:-3] * f2[2:-2] * f2[3:-1] * f2[4:]  # f^2(n+1) ... f^2(n+4)
+        ratio_up = quad**-0.5
+        ratio_dn = quad[: max(cutoff - 4, 0)] ** 0.5  # f^2(n-3) ... f^2(n), n >= 4
+        inv_f = np.cumprod(np.concatenate(([1.0], f2[1:cutoff]))) ** -0.5  # f^2(n)! = prod_{k<=n}
+    else:
+        ratio_up = ratio_dn = 1.0
+        inv_f = 1.0 - tau * n * (3 + n) / 8.0
+    c = power[:cutoff] - (tau / 16.0) * power[4:] * ratio_up
+    m = n[4:]
+    pochhammer = (m - 3) * (m - 2) * (m - 1) * m  # n!/(n-4)!
+    c[4:] += (tau / 16.0) * power[: max(cutoff - 4, 0)] * pochhammer * ratio_dn
+    return c * inv_f
+
+
 def raw_coherent_coeffs(alpha: complex, tau: float, cutoff: int, exact: bool = False) -> np.ndarray:
     """Unnormalized coefficients C(alpha, n) / (sqrt(n!) f(n)!), n < cutoff."""
-    n = np.arange(cutoff)
-    inv_sqrt_fact = np.exp(-0.5 * gammaln(n + 1.0))
-    c = np.array(
-        [coefficient_C(alpha, k, tau, exact_ratios=exact) for k in range(cutoff)],
-        dtype=np.complex128,
-    )
-    inv_f = np.array([amplitude_inv_f_factorial(k, tau, exact=exact) for k in range(cutoff)])
-    return c * inv_sqrt_fact * inv_f
+    return coefficient_table(alpha, tau, cutoff, exact) * np.exp(-0.5 * log_factorials(cutoff))
 
 
 @dataclass(frozen=True)

@@ -172,7 +172,7 @@ def _fast_checks() -> list[CheckResult]:
     )
     checks.append(
         _leq(
-            "entropy factored sum vs quadruple loop (K=12)",
+            "entropy closed kernel vs quadruple loop (K=12)",
             abs(
                 linear_entropy_closed(0.8 + 0.3j, 0.05, params, 12, check_tail=False)
                 - linear_entropy_quadruple(0.8 + 0.3j, 0.05, params, 12)
@@ -222,7 +222,7 @@ def _full_checks() -> list[CheckResult]:
     )
     checks.append(
         _leq(
-            "entropy factored sum vs quadruple loop (K=20)",
+            "entropy closed kernel vs quadruple loop (K=20)",
             abs(
                 linear_entropy_closed(1.0 + 1.0j, 0.1, params, 20, check_tail=False)
                 - linear_entropy_quadruple(1.0 + 1.0j, 0.1, params, 20)

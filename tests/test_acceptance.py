@@ -219,7 +219,7 @@ def test_criterion_7_entropy_closed_vs_oracle():
     _report(
         7,
         micro <= 1e-12 and tau0 <= 1e-8 and 50 <= ratio <= 200,
-        f"factored sum vs quadruple loop at K=20: {micro:.2e} (<= 1e-12); "
+        f"closed kernel vs quadruple loop at K=20: {micro:.2e} (<= 1e-12); "
         f"vs density-matrix oracle at tau=0: {tau0:.2e} (<= 1e-8); "
         f"quadratic-band ratio {ratio:.1f} (in [50, 200])",
     )

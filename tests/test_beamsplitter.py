@@ -42,18 +42,21 @@ class TestSplitFock:
     )
     def test_norm_preserved(self, n, theta):
         out = bs.split_fock(n, bs.SplitterParams(theta, 0.3))
-        assert len(out.amplitudes) == n + 1
-        assert out.norm_sq == pytest.approx(1.0, abs=1e-12)
+        assert out.shape == (n + 1, n + 1)
+        q, m = np.indices(out.shape)
+        assert np.all(out[q + m != n] == 0.0)
+        assert np.sum(np.abs(out) ** 2) == pytest.approx(1.0, abs=1e-12)
 
     def test_vacuum_passes_through(self):
         out = bs.split_fock(0, bs.SplitterParams())
-        assert out.amplitudes == {(0, 0): 1.0}
+        assert out.shape == (1, 1)
+        assert out[0, 0] == 1.0
 
     def test_single_photon_amplitudes(self):
         p = bs.SplitterParams()
         out = bs.split_fock(1, p)
-        assert out.amplitudes[(1, 0)] == pytest.approx(p.t)
-        assert out.amplitudes[(0, 1)] == pytest.approx(p.r)
+        assert out[1, 0] == pytest.approx(p.t)
+        assert out[0, 1] == pytest.approx(p.r)
 
     def test_rejects_negative(self):
         with pytest.raises(ValueError):
@@ -68,27 +71,51 @@ class TestSplitState:
     def test_norm_preserved_for_states(self):
         st_ = build_coherent(1.0 + 0.5j, 1e-3, cutoff=40)
         out = bs.split_state(st_, bs.SplitterParams())
-        assert out.norm_sq == pytest.approx(1.0, abs=1e-10)
+        assert np.sum(np.abs(out) ** 2) == pytest.approx(1.0, abs=1e-10)
 
     def test_matches_split_fock_on_basis_states(self):
         p = bs.SplitterParams(1.1, 0.7)
         out = bs.split_state(basis_state(3, 8), p)
         want = bs.split_fock(3, p)
-        for key, amp in want.amplitudes.items():
-            assert out.amplitudes[key] == pytest.approx(amp)
+        for q in range(4):
+            assert out[q, 3 - q] == pytest.approx(want[q, 3 - q])
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.lists(
+        st.tuples(st.floats(-1.0, 1.0), st.floats(-1.0, 1.0)), min_size=1, max_size=25
+    ).filter(lambda xs: sum(x * x + y * y for x, y in xs) > 1e-6),
+    st.floats(min_value=0.0, max_value=math.pi),
+    st.floats(min_value=0.0, max_value=2.0 * math.pi, exclude_max=True),
+)
+def test_kernel_invariants(pairs, theta, phi):
+    c = np.array([complex(x, y) for x, y in pairs])
+    vec = FockVector(c / np.linalg.norm(c))
+    for angle, one_port in ((theta, False), (0.0, True), (math.pi, True)):
+        amp = bs.split_state(vec, bs.SplitterParams(angle, phi))
+        assert amp.shape == (vec.cutoff, vec.cutoff)
+        assert np.sum(np.abs(amp) ** 2) == pytest.approx(1.0, abs=1e-12)
+        rho = bs.reduced_density(amp)
+        assert np.max(np.abs(rho - rho.conj().T)) <= 1e-14
+        assert np.trace(rho).real == pytest.approx(1.0, abs=1e-12)
+        s = bs.linear_entropy_oracle(rho)
+        assert -1e-12 <= s <= 1.0
+        if one_port:  # all light leaves through one port: a product state
+            assert abs(s) <= 1e-12
 
 
 class TestReducedDensity:
     def test_trace_one_and_hermitian(self):
         st_ = build_coherent(0.8 - 0.3j, 1e-3, cutoff=40)
         rho = bs.reduced_density(bs.split_state(st_, bs.SplitterParams()))
-        assert rho.trace == pytest.approx(1.0, abs=1e-10)
-        assert np.max(np.abs(rho.mat - rho.mat.conj().T)) <= 1e-14
-        assert rho.purity <= 1.0 + 1e-12
+        assert np.trace(rho).real == pytest.approx(1.0, abs=1e-10)
+        assert np.max(np.abs(rho - rho.conj().T)) <= 1e-14
+        assert np.sum(np.abs(rho) ** 2) <= 1.0 + 1e-12
 
     def test_fock_input_is_diagonal(self):
         rho = bs.reduced_density(bs.split_fock(2, bs.SplitterParams()))
-        off = rho.mat - np.diag(np.diag(rho.mat))
+        off = rho - np.diag(np.diag(rho))
         assert np.max(np.abs(off)) <= 1e-14
 
 

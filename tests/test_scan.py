@@ -42,13 +42,9 @@ class TestRunScan:
         assert keys == sorted(keys)
         assert len(table.rows) == 8
 
-    def test_thread_count_invariance(self, monkeypatch):
+    def test_rerun_gives_equal_tables(self):
         spec = _spec("U_tilde", "cat-even", (0.5, 1.5, 3), (0.5, 1.5, 3), (0.0, 0.5))
-        monkeypatch.setenv("NCQO_THREADS", "1")
-        serial = scan.run_scan(spec)
-        monkeypatch.setenv("NCQO_THREADS", "3")
-        threaded = scan.run_scan(spec)
-        assert scan.tables_equal(serial, threaded)
+        assert scan.tables_equal(scan.run_scan(spec), scan.run_scan(spec))
 
     def test_nan_sentinel_for_odd_cat_near_origin(self):
         table = scan.run_scan(_spec("mandel", "cat-odd", (0, 1, 2), (0, 0, 1), (0.1,)))
@@ -78,11 +74,6 @@ class TestRunScan:
             scan.run_scan(_spec("R", "coherent", (0, 1, 2), (0, 0, 1), (-0.1,)))
         with pytest.raises(ConfigError):
             scan.run_scan(_spec("R", "coherent", (0, 1, 2), (0, 0, 1), (0.1,), cutoff=3))
-
-    def test_bad_thread_env(self, monkeypatch):
-        monkeypatch.setenv("NCQO_THREADS", "many")
-        with pytest.raises(ConfigError):
-            scan.run_scan(_spec("R", "coherent", (1, 1, 1), (0, 0, 1), (0.0,)))
 
 
 class TestEmitParse:

@@ -6,9 +6,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.special import gammaln
 
 from ncqo import states
+from ncqo.deformation import amplitude_inv_f_factorial, coefficient_C
 from ncqo.errors import CutoffError, DegenerateStateError, PerturbativeBreakdownError
 from ncqo.states import StateFamily, StateKind
 
@@ -71,13 +71,40 @@ def test_perturbative_warning_indicator():
     assert states.perturbative_warning_indicator(2.0, 0.5)
 
 
+def test_log_factorials():
+    got = states.log_factorials(40)
+    want = np.array([math.lgamma(k + 1.0) for k in range(40)])
+    assert got[0] == 0.0
+    assert np.max(np.abs(got - want)) <= 1e-12
+
+
+@pytest.mark.parametrize("exact", [False, True])
+def test_coefficient_table_matches_scalar_loop(exact):
+    # K <= 4 leaves no room for the -4 sideband
+    for alpha in (0.3, 1.0 + 1.0j, 2.5 - 0.7j, -1.1j):
+        for tau in (0.0, 1e-3, 0.5, 2.0):
+            for k in (1, 4, 5, 30, 60):
+                got = states.coefficient_table(alpha, tau, k, exact)
+                want = np.array(
+                    [
+                        coefficient_C(alpha, n, tau, exact_ratios=exact)
+                        * amplitude_inv_f_factorial(n, tau, exact=exact)
+                        for n in range(k)
+                    ]
+                )
+                assert got.shape == (k,)
+                np.testing.assert_allclose(got, want, rtol=1e-13, atol=0.0)
+
+
 class TestBuildCoherent:
     def test_glauber_limit_is_poisson(self):
         alpha = 1.0 + 0.5j
         st_ = states.build_coherent(alpha, 0.0)
         n = np.arange(st_.cutoff)
         want = np.exp(
-            n * math.log(abs(alpha)) - 0.5 * gammaln(n + 1.0) - abs(alpha) ** 2 / 2.0
+            n * math.log(abs(alpha))
+            - 0.5 * np.array([math.lgamma(k + 1.0) for k in n])
+            - abs(alpha) ** 2 / 2.0
         )
         assert np.max(np.abs(np.abs(st_.vector.coeffs) - want)) <= 1e-12
 
