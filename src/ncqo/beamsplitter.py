@@ -12,8 +12,11 @@ sum_n c_n |n> (x) |0> is the dense amplitude matrix
 and rho_A = A A^+. Linear entropy S = 1 - Tr rho_A^2 = 1 - ||A A^+||_F^2 is
 evaluated through this one kernel twice: as a density-matrix oracle on the
 renormalized state, and as the closed coherent-state sum on the raw
-coefficients with the closed-form norm. A naive four-index loop is kept as
-a micro-oracle for the closed sum at small cutoffs.
+coefficients with the closed-form norm. The kernel takes a leading batch
+axis: linear_entropy_rows evaluates a stack of states, one (cells, K, K)
+matmul, with the alpha-independent splitter_tables built once. A naive
+four-index loop is kept as a micro-oracle for the closed sum at small
+cutoffs.
 """
 
 from __future__ import annotations
@@ -61,25 +64,49 @@ class SplitterParams:
         return -cmath.exp(1j * self.phi) * math.sin(self.theta / 2.0)
 
 
-def _amplitude_matrix(coeffs: np.ndarray, params: SplitterParams) -> np.ndarray:
-    """A[q, m] = c_{q+m} sqrt(binom(q+m, q)) t^q r^m, zero where q + m >= K."""
-    k = coeffs.size
-    n = np.arange(k)
+def splitter_tables(cutoff: int, params: SplitterParams) -> tuple[np.ndarray, ...]:
+    """The alpha-independent factors of A at cutoff K.
+
+    Returns the index q + m, sqrt(binom(q+m, q)) from log factorials (taken
+    at index 0 where q + m >= K, a position A zeroes), t^q and r^m. Every
+    entry depends on q and m only, so the [:k, :k] blocks serve any k <= K.
+    """
+    n = np.arange(cutoff)
     total = n[:, None] + n[None, :]
+    lf = log_factorials(cutoff)
+    sqrt_binom = np.exp(0.5 * (lf[np.where(total < cutoff, total, 0)] - lf[:, None] - lf[None, :]))
+    return total, sqrt_binom, np.power(params.t, n), np.power(params.r, n)
+
+
+def _amplitude_matrix(coeffs: np.ndarray, tables: tuple) -> np.ndarray:
+    """A[..., q, m] = c_{q+m} sqrt(binom(q+m, q)) t^q r^m, zero where q + m >= K.
+
+    coeffs is (..., K), one input per leading index; tables come from
+    splitter_tables at any cutoff >= K.
+    """
+    k = coeffs.shape[-1]
+    total, sqrt_binom, t_pow, r_pow = tables
+    total = total[:k, :k]
     inside = total < k
-    total = np.where(inside, total, 0)
-    lf = log_factorials(k)
-    sqrt_binom = np.exp(0.5 * (lf[total] - lf[:, None] - lf[None, :]))
-    amp = coeffs[total] * sqrt_binom * np.power(params.t, n)[:, None] * np.power(params.r, n)
-    return np.where(inside, amp, 0.0)
+    amp = np.take(coeffs, np.where(inside, total, 0), axis=-1)
+    amp *= sqrt_binom[:k, :k]
+    amp *= t_pow[:k, None]
+    amp *= r_pow[:k]
+    amp[..., ~inside] = 0.0
+    return amp
+
+
+def _check_normalized(coeffs: np.ndarray) -> None:
+    """Every row of (..., K) must have unit norm to within 1e-10."""
+    if not np.all(np.abs(np.sum(np.abs(coeffs) ** 2, axis=-1) - 1.0) <= 1e-10):
+        raise ValueError("split_state expects a normalized input")
 
 
 def split_state(state: DeformedState | FockVector, params: SplitterParams) -> np.ndarray:
     """Splitter output A[q, m] of a normalized input (x) vacuum, K x K for cutoff K."""
     vec = state.vector if isinstance(state, DeformedState) else state
-    if not vec.is_normalized(1e-10):
-        raise ValueError("split_state expects a normalized input")
-    return _amplitude_matrix(vec.coeffs, params)
+    _check_normalized(vec.coeffs)
+    return _amplitude_matrix(vec.coeffs, splitter_tables(vec.cutoff, params))
 
 
 def split_fock(n: int, params: SplitterParams) -> np.ndarray:
@@ -90,13 +117,25 @@ def split_fock(n: int, params: SplitterParams) -> np.ndarray:
 
 
 def reduced_density(amplitudes: np.ndarray) -> np.ndarray:
-    """Partial trace over mode b: rho = A A^+."""
-    return amplitudes @ amplitudes.conj().T
+    """Partial trace over mode b: rho = A A^+, stacked over any leading axes."""
+    return amplitudes @ np.swapaxes(amplitudes.conj(), -1, -2)
 
 
-def linear_entropy_oracle(rho: np.ndarray) -> float:
-    """S = 1 - Tr rho^2 = 1 - sum |rho_ij|^2."""
-    return 1.0 - float(np.sum(np.abs(rho) ** 2))
+def linear_entropy_oracle(rho: np.ndarray):
+    """S = 1 - Tr rho^2 = 1 - sum |rho_ij|^2: a float, or an array over leading axes."""
+    s = 1.0 - np.sum(np.abs(rho) ** 2, axis=(-2, -1))
+    return float(s) if s.ndim == 0 else s
+
+
+def linear_entropy_rows(vectors: np.ndarray, tables: tuple) -> np.ndarray:
+    """S for each normalized state row of (cells, K) as one stacked kernel.
+
+    The batched form of entropy_for_kind's oracle path: the same
+    normalization check, amplitude matrix, rho and purity, per row.
+    tables come from splitter_tables at any cutoff >= K.
+    """
+    _check_normalized(vectors)
+    return linear_entropy_oracle(reduced_density(_amplitude_matrix(vectors, tables)))
 
 
 def _check_entropy_tail(raw: np.ndarray, alpha: complex, cutoff: int) -> None:
@@ -135,7 +174,7 @@ def linear_entropy_closed(
     raw = raw_coherent_coeffs(alpha, tau, cutoff, exact=exact)
     if check_tail:
         _check_entropy_tail(raw, alpha, cutoff)
-    rho = reduced_density(_amplitude_matrix(raw, params))
+    rho = reduced_density(_amplitude_matrix(raw, splitter_tables(cutoff, params)))
     n2 = coherent_norm_sq(alpha, tau, strict=False)
     return 1.0 - float(np.sum(np.abs(rho) ** 2)) / n2**2
 

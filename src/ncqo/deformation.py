@@ -19,7 +19,6 @@ spot-check.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -53,27 +52,6 @@ def f_factorial_squared(n: int, tau: float) -> float:
     for k in range(1, n + 1):
         out *= f_squared(k, tau)
     return out
-
-
-def f_factorial_squared_pochhammer(n: int, tau: float) -> float:
-    """Closed Pochhammer form of f^2(n)!; tau = 0 returns 1 by continuity."""
-    if n < 0:
-        raise ValueError("n >= 0 required")
-    if tau == 0.0 or n == 0:
-        return 1.0
-    # interleave the scale factors to avoid under/overflow at tiny tau
-    out = 1.0
-    q = 2.0 + 2.0 / tau
-    for k in range(n):
-        out *= (tau / 2.0) * (q + k)
-    return out
-
-
-def inv_f_factorial_first_order(n: int, tau: float) -> float:
-    """First-order 1/f^2(n)! = 1 - tau n(3+n)/4 (may go negative for large n*tau)."""
-    if n < 0:
-        raise ValueError("n >= 0 required")
-    return 1.0 - tau * n * (3 + n) / 4.0
 
 
 def amplitude_inv_f_factorial(n: int, tau: float, exact: bool = False) -> float:
@@ -141,41 +119,6 @@ def coefficient_C(alpha: complex, n: int, tau: float, exact_ratios: bool = False
             ratio_dn = 1.0
         c += (tau / 16.0) * alpha ** (n - 4) * pochhammer(n - 3, 4) * ratio_dn
     return c
-
-
-@dataclass(frozen=True)
-class DeformationProfile:
-    """Memoized deformation tables for a fixed tau, immutable after build."""
-
-    tau: float
-    f2: np.ndarray  # f^2(n), n = 0..n_max
-    f2_factorial: np.ndarray  # exact f^2(n)!
-    inv_f2_factorial_fo: np.ndarray  # first-order 1/f^2(n)!
-
-    @classmethod
-    def build(cls, tau: float, n_max: int) -> "DeformationProfile":
-        if tau < 0:
-            raise ValueError("tau >= 0 required")
-        n = np.arange(n_max + 1)
-        f2 = 1.0 + tau * (1 + n) / 2.0
-        fact = np.ones(n_max + 1)
-        if n_max >= 1:
-            fact[1:] = np.cumprod(f2[1:])
-        inv_fo = 1.0 - tau * n * (3 + n) / 4.0
-        for arr in (f2, fact, inv_fo):
-            arr.setflags(write=False)
-        return cls(tau=tau, f2=f2, f2_factorial=fact, inv_f2_factorial_fo=inv_fo)
-
-    @property
-    def n_max(self) -> int:
-        return self.f2.size - 1
-
-    def amplitude_inv_f(self, exact: bool = False) -> np.ndarray:
-        """1/f(n)! table for state amplitudes (see amplitude_inv_f_factorial)."""
-        if exact:
-            return self.f2_factorial**-0.5
-        n = np.arange(self.n_max + 1)
-        return 1.0 - self.tau * n * (3 + n) / 8.0
 
 
 def deformed_lowering(tau: float, cutoff: int) -> OperatorMatrix:

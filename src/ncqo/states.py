@@ -115,7 +115,7 @@ def log_factorials(k: int) -> np.ndarray:
     return out
 
 
-def coefficient_table(alpha: complex, tau: float, cutoff: int, exact: bool = False) -> np.ndarray:
+def coefficient_table(alpha, tau: float, cutoff: int, exact: bool = False) -> np.ndarray:
     """ghat_n = C(alpha, n) / f(n)! for every n < cutoff, in either coefficient mode.
 
     The vectorized form of deformation.coefficient_C times
@@ -124,9 +124,14 @@ def coefficient_table(alpha: complex, tau: float, cutoff: int, exact: bool = Fal
     + (tau/16) alpha^(n-4) n!/(n-4)! f(n)!/f(n-4)!, the last term for n >= 4
     only. In first-order mode the f-ratios are 1 and 1/f(n)! = 1 - tau n(3+n)/8;
     in exact mode both come from the exact f^2(n)!.
+
+    alpha may be a scalar or an array; the result has shape
+    alpha.shape + (cutoff,). Every entry is an elementwise function of
+    alpha and n, or a prefix product of an n-only table, so the first k
+    columns of a table built at a larger cutoff equal the table built at k.
     """
     n = np.arange(cutoff)
-    power = np.power(complex(alpha), np.arange(cutoff + 4))
+    power = np.power(np.asarray(alpha, dtype=np.complex128)[..., None], np.arange(cutoff + 4))
     if exact:
         f2 = 1.0 + tau * (1 + np.arange(cutoff + 4)) / 2.0
         quad = f2[1:-3] * f2[2:-2] * f2[3:-1] * f2[4:]  # f^2(n+1) ... f^2(n+4)
@@ -136,16 +141,58 @@ def coefficient_table(alpha: complex, tau: float, cutoff: int, exact: bool = Fal
     else:
         ratio_up = ratio_dn = 1.0
         inv_f = 1.0 - tau * n * (3 + n) / 8.0
-    c = power[:cutoff] - (tau / 16.0) * power[4:] * ratio_up
+    c = power[..., :cutoff] - (tau / 16.0) * power[..., 4:] * ratio_up
     m = n[4:]
     pochhammer = (m - 3) * (m - 2) * (m - 1) * m  # n!/(n-4)!
-    c[4:] += (tau / 16.0) * power[: max(cutoff - 4, 0)] * pochhammer * ratio_dn
+    c[..., 4:] += (tau / 16.0) * power[..., : max(cutoff - 4, 0)] * pochhammer * ratio_dn
     return c * inv_f
 
 
-def raw_coherent_coeffs(alpha: complex, tau: float, cutoff: int, exact: bool = False) -> np.ndarray:
-    """Unnormalized coefficients C(alpha, n) / (sqrt(n!) f(n)!), n < cutoff."""
+def raw_coherent_coeffs(alpha, tau: float, cutoff: int, exact: bool = False) -> np.ndarray:
+    """Unnormalized coefficients C(alpha, n) / (sqrt(n!) f(n)!), n < cutoff.
+
+    Broadcasts over an array of alpha like coefficient_table.
+    """
     return coefficient_table(alpha, tau, cutoff, exact) * np.exp(-0.5 * log_factorials(cutoff))
+
+
+def tail_converged(raw: np.ndarray) -> np.ndarray:
+    """Per row of (..., K): the top four levels hold at most TAIL_PROBABILITY of the weight."""
+    total = np.sum(np.abs(raw) ** 2, axis=-1)
+    tail = np.sum(np.abs(raw[..., -4:]) ** 2, axis=-1)
+    return (total != 0.0) & ~(tail > TAIL_PROBABILITY * total)
+
+
+def cat_combination(raw: np.ndarray, parity: int) -> np.ndarray:
+    """raw(alpha) + parity raw(-alpha), from the coherent rows raw(alpha) alone.
+
+    C(-alpha, n) = (-1)^n C(alpha, n), so the sum is 2 raw(alpha) on the
+    levels of the cat's parity and zero on the others. Zeroing those levels
+    outright keeps the support parity-pure, and scaling by 2 is exact.
+    """
+    out = 2.0 * raw
+    out[..., (1 if parity == +1 else 0) :: 2] = 0.0
+    return out
+
+
+def normalized_rows(raw: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """raw / ||raw|| along the last axis, and ||raw||^2 before renormalization."""
+    numeric = np.sum(np.abs(raw) ** 2, axis=-1)
+    return raw / np.sqrt(numeric)[..., None], numeric
+
+
+def state_rows(raw: np.ndarray, parity: int) -> tuple[np.ndarray, np.ndarray]:
+    """Batched build_state on coherent rows raw(alpha) of shape (cells, K).
+
+    parity is StateFamily.parity. Returns the per-row tail mask (False
+    where build_coherent and build_cat raise CutoffError) and the
+    normalized vectors of the rows that pass it, in row order.
+    """
+    ok = tail_converged(raw)
+    passed = raw[ok]
+    if parity:
+        passed = cat_combination(passed, parity)
+    return ok, normalized_rows(passed)[0]
 
 
 @dataclass(frozen=True)
@@ -175,9 +222,7 @@ class DeformedState:
 
 
 def _check_tail(raw: np.ndarray, alpha: complex, cutoff: int) -> None:
-    total = float(np.sum(np.abs(raw) ** 2))
-    tail = float(np.sum(np.abs(raw[-4:]) ** 2))
-    if total == 0.0 or tail > TAIL_PROBABILITY * total:
+    if not tail_converged(raw):
         raise CutoffError(
             f"cutoff {cutoff} too small for alpha = {alpha}; "
             f"suggested cutoff {max(default_cutoff(alpha), math.ceil(1.5 * cutoff))}"
@@ -194,13 +239,12 @@ def _validity_flags(kind: StateKind) -> tuple[bool, bool]:
 
 
 def _finalize(raw: np.ndarray, kind: StateKind, closed: float, exact: bool) -> DeformedState:
-    numeric = float(np.sum(np.abs(raw) ** 2))
-    vec = FockVector(raw / math.sqrt(numeric))
+    vector, numeric = normalized_rows(raw)
     valid, region = _validity_flags(kind)
     return DeformedState(
-        vector=vec,
+        vector=FockVector(vector),
         kind=kind,
-        numeric_norm_sq=numeric,
+        numeric_norm_sq=float(numeric),
         closed_norm_sq=closed,
         perturbative_warning=perturbative_warning_indicator(kind.alpha, kind.tau),
         validity=valid,
@@ -239,16 +283,12 @@ def build_cat(
             f"odd cat state degenerates at |alpha| = {abs(alpha):.2e} < {MIN_CAT_ODD_ALPHA}"
         )
     cutoff = default_cutoff(alpha) if cutoff is None else cutoff
-    raw_p = raw_coherent_coeffs(alpha, tau, cutoff, exact=exact)
-    raw_m = raw_coherent_coeffs(-alpha, tau, cutoff, exact=exact)
-    _check_tail(raw_p, alpha, cutoff)
-    raw = raw_p + parity * raw_m
-    # enforce exact parity purity against roundoff in the cancelling terms
-    n = np.arange(cutoff)
-    raw[(n % 2) != (0 if parity == +1 else 1)] = 0.0
+    raw = raw_coherent_coeffs(alpha, tau, cutoff, exact=exact)
+    _check_tail(raw, alpha, cutoff)
     family = StateFamily.CAT_EVEN if parity == +1 else StateFamily.CAT_ODD
     kind = StateKind(family, complex(alpha), tau)
-    return _finalize(raw, kind, cat_norm_sq(alpha, tau, parity, strict=False), exact)
+    closed = cat_norm_sq(alpha, tau, parity, strict=False)
+    return _finalize(cat_combination(raw, parity), kind, closed, exact)
 
 
 def build_state(kind: StateKind, cutoff: int | None = None, exact: bool = False) -> DeformedState:

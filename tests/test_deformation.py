@@ -1,4 +1,4 @@
-"""Tests for the deformation profile, perturbed eigenvectors and coefficients."""
+"""Tests for the deformation factorials, perturbed eigenvectors and coefficients."""
 
 import math
 
@@ -9,6 +9,26 @@ from hypothesis import strategies as st
 
 from ncqo import deformation as d
 from ncqo.errors import DimensionError
+
+
+def f_factorial_squared_pochhammer(n: int, tau: float) -> float:
+    """Closed Pochhammer form of f^2(n)!; tau = 0 returns 1 by continuity.
+
+    Local reference for d.f_factorial_squared (the product form).
+    """
+    if tau == 0.0 or n == 0:
+        return 1.0
+    # interleave the scale factors to avoid under/overflow at tiny tau
+    out = 1.0
+    q = 2.0 + 2.0 / tau
+    for k in range(n):
+        out *= (tau / 2.0) * (q + k)
+    return out
+
+
+def inv_f_factorial_first_order(n: int, tau: float) -> float:
+    """First-order 1/f^2(n)! = 1 - tau n(3+n)/4 (may go negative for large n*tau)."""
+    return 1.0 - tau * n * (3 + n) / 4.0
 
 
 class TestFFactorial:
@@ -27,20 +47,20 @@ class TestFFactorial:
     )
     def test_product_matches_pochhammer_closed_form(self, n, tau):
         prod = d.f_factorial_squared(n, tau)
-        closed = d.f_factorial_squared_pochhammer(n, tau)
+        closed = f_factorial_squared_pochhammer(n, tau)
         assert closed == pytest.approx(prod, rel=1e-12)
 
     def test_base_cases(self):
         assert d.f_squared(0, 0.3) == pytest.approx(1.15)
         assert d.f_factorial_squared(0, 0.7) == 1.0
-        assert d.f_factorial_squared_pochhammer(5, 0.0) == 1.0
+        assert f_factorial_squared_pochhammer(5, 0.0) == 1.0
         assert d.f_factorial_squared(1, 0.2) == pytest.approx(1.2)
 
     def test_first_order_inverse_is_quadratically_close(self):
         n = 6
         defects = []
         for tau in (1e-3, 1e-2):
-            defects.append(abs(1.0 / d.f_factorial_squared(n, tau) - d.inv_f_factorial_first_order(n, tau)))
+            defects.append(abs(1.0 / d.f_factorial_squared(n, tau) - inv_f_factorial_first_order(n, tau)))
         assert 50 <= defects[1] / defects[0] <= 200
 
     def test_amplitude_square_consistent_at_first_order(self):
@@ -49,7 +69,7 @@ class TestFFactorial:
         amp = d.amplitude_inv_f_factorial(n, tau)
         # the two agree up to the square of the correction term
         gap = (tau * n * (3 + n) / 8.0) ** 2
-        assert amp**2 == pytest.approx(d.inv_f_factorial_first_order(n, tau), abs=2 * gap)
+        assert amp**2 == pytest.approx(inv_f_factorial_first_order(n, tau), abs=2 * gap)
 
     def test_amplitude_exact_mode_positive(self):
         # first-order amplitude goes negative at large n*tau, exact never does
@@ -133,32 +153,6 @@ class TestCoefficientC:
             + (tau / 16) * alpha ** (n - 4) * d.pochhammer(n - 3, 4) * down
         )
         assert d.coefficient_C(alpha, n, tau, exact_ratios=True) == pytest.approx(want)
-
-
-class TestDeformationProfile:
-    def test_tables_match_scalar_functions(self):
-        tau = 0.07
-        prof = d.DeformationProfile.build(tau, 25)
-        for n in range(26):
-            assert prof.f2[n] == pytest.approx(d.f_squared(n, tau))
-            assert prof.f2_factorial[n] == pytest.approx(d.f_factorial_squared(n, tau))
-            assert prof.inv_f2_factorial_fo[n] == pytest.approx(
-                d.inv_f_factorial_first_order(n, tau)
-            )
-        amp = prof.amplitude_inv_f()
-        amp_exact = prof.amplitude_inv_f(exact=True)
-        for n in range(26):
-            assert amp[n] == pytest.approx(d.amplitude_inv_f_factorial(n, tau))
-            assert amp_exact[n] == pytest.approx(d.amplitude_inv_f_factorial(n, tau, exact=True))
-
-    def test_tables_immutable(self):
-        prof = d.DeformationProfile.build(0.1, 5)
-        with pytest.raises(ValueError):
-            prof.f2[0] = 2.0
-
-    def test_rejects_negative_tau(self):
-        with pytest.raises(ValueError):
-            d.DeformationProfile.build(-0.1, 5)
 
 
 class TestOperators:

@@ -115,10 +115,28 @@ class TestQuadOracle:
             assert getattr(qo, name) == pytest.approx(getattr(qc, name), abs=1e-10)
 
     @pytest.mark.parametrize(
-        "family", [StateFamily.COHERENT, StateFamily.CAT_EVEN, StateFamily.CAT_ODD]
+        "family, alpha",
+        [
+            pytest.param(family, 1.0 + 1.0j, id=str(family))
+            for family in (StateFamily.COHERENT, StateFamily.CAT_EVEN, StateFamily.CAT_ODD)
+        ]
+        # alpha = 1 lies off the Re(alpha^2) = 0 diagonal of 1 + 1j
+        + [
+            pytest.param(StateFamily.COHERENT, 1.0, id="StateFamily.COHERENT-alpha=1"),
+            pytest.param(StateFamily.CAT_EVEN, 1.0, id="StateFamily.CAT_EVEN-alpha=1"),
+            pytest.param(
+                StateFamily.CAT_ODD,
+                1.0,
+                id="StateFamily.CAT_ODD-alpha=1",
+                marks=pytest.mark.xfail(
+                    strict=True,
+                    reason="cat_U_tilde odd-cat branch is off by about tau Re(alpha^2)/2 "
+                    "at first order (defect ratio about 11, not 100)",
+                ),
+            ),
+        ],
     )
-    def test_oracle_vs_closed_quadratic_band(self, family):
-        alpha = 1.0 + 1.0j
+    def test_oracle_vs_closed_quadratic_band(self, family, alpha):
         defects = []
         for tau in (1e-3, 1e-2):
             st_ = build_state(_kind(family, alpha, tau), cutoff=50)

@@ -6,13 +6,22 @@ import os
 import pytest
 
 from ncqo import scan
-from ncqo.beamsplitter import SplitterParams
+from ncqo.beamsplitter import SplitterParams, entropy_for_kind
 from ncqo.cli import main
-from ncqo.errors import ConfigError
-from ncqo.figrun import FIGURE_NAMES, load_manifest, run_figure
-from ncqo.states import StateFamily
+from ncqo.errors import ConfigError, CutoffError
+from ncqo.figrun import FIGURE_NAMES, load_manifest, panel_to_spec, run_figure
+from ncqo.observables import cat_validity_value
+from ncqo.states import (
+    MIN_CAT_ODD_ALPHA,
+    StateFamily,
+    StateKind,
+    build_cat,
+    default_cutoff,
+    perturbative_warning_indicator,
+)
 
-GOLDEN = os.path.join(os.path.dirname(__file__), "golden", "cat_even_utilde.csv")
+GOLDEN_DIR = os.path.join(os.path.dirname(__file__), "golden")
+GOLDEN = os.path.join(GOLDEN_DIR, "cat_even_utilde.csv")
 
 
 def _spec(quantity, family, re, im, taus, **kw):
@@ -74,6 +83,95 @@ class TestRunScan:
             scan.run_scan(_spec("R", "coherent", (0, 1, 2), (0, 0, 1), (-0.1,)))
         with pytest.raises(ConfigError):
             scan.run_scan(_spec("R", "coherent", (0, 1, 2), (0, 0, 1), (0.1,), cutoff=3))
+
+
+def _one_cell_row(spec, alpha, tau):
+    """What the scan must give for one entropy cell, from entropy_for_kind."""
+    nan_row = scan.ScanRow(alpha.real, alpha.imag, tau, math.nan, False, False)
+    if spec.family is StateFamily.CAT_ODD and abs(alpha) < MIN_CAT_ODD_ALPHA:
+        return nan_row
+    kind = StateKind(spec.family, alpha, tau)
+    try:
+        value = entropy_for_kind(kind, spec.splitter, spec.cutoff, spec.exact)
+    except CutoffError:
+        return nan_row
+    warn = perturbative_warning_indicator(alpha, tau)
+    valid = spec.family is StateFamily.COHERENT or (
+        cat_validity_value(alpha, tau, spec.family.parity) >= 0.0
+    )
+    return scan.ScanRow(alpha.real, alpha.imag, tau, value, valid, warn)
+
+
+class TestBatchedEntropy:
+    # The real axis holds alpha = 0 and alpha = 2; the patch reaches
+    # |alpha| = 4.2, so the automatic cutoff mixes K = 30 ... 61 in one slice.
+    GRIDS = (
+        ((0.0, 4.0, 5), (0.0, 0.0, 1)),
+        ((0.1, 3.0, 5), (0.1, 3.0, 4)),
+    )
+    TAUS = (0.0, 0.05, 2.0)
+
+    @pytest.mark.parametrize("exact", [False, True])
+    @pytest.mark.parametrize("family", list(StateFamily))
+    @pytest.mark.parametrize(
+        "cutoff, splitter",
+        [
+            pytest.param(None, SplitterParams(), id="auto"),
+            pytest.param(40, SplitterParams(), id="K40"),
+            pytest.param(None, SplitterParams(1.1, 0.7), id="theta1.1-phi0.7"),
+        ],
+    )
+    def test_scan_equals_one_cell_kernel(self, family, exact, cutoff, splitter):
+        for re, im in self.GRIDS:
+            spec = _spec(
+                "entropy", family.value, re, im, self.TAUS,
+                cutoff=cutoff, splitter=splitter, exact=exact,
+            )
+            rows = scan.run_scan(spec).rows
+            assert len(rows) == re[2] * im[2] * len(self.TAUS)
+            for row in rows:
+                want = _one_cell_row(spec, complex(row.re_alpha, row.im_alpha), row.tau)
+                assert scan.rows_equal(row, want), (row, want)
+
+    def test_grids_mix_cutoffs(self):
+        cutoffs = set()
+        for re, im in self.GRIDS:
+            grid = scan.GridSpec(*re, *im)
+            cutoffs |= {
+                default_cutoff(complex(x, y)) for y in grid.im_values for x in grid.re_values
+            }
+        assert min(cutoffs) == 30 and max(cutoffs) == 61 and len(cutoffs) > 10
+
+    def test_nan_rows(self):
+        odd = scan.run_scan(_spec("entropy", "cat-odd", (0.0, 4.0, 5), (0.0, 0.0, 1), (0.0,)))
+        assert (odd.rows[0].re_alpha, odd.rows[0].im_alpha) == (0.0, 0.0)
+        assert math.isnan(odd.rows[0].value)
+        assert not odd.rows[0].valid and not odd.rows[0].warn
+        assert all(math.isfinite(r.value) for r in odd.rows[1:])
+        # the automatic cutoff K = 30 is too small for this exact-mode even cat
+        with pytest.raises(CutoffError):
+            build_cat(2.0, 0.05, +1, exact=True)
+        even = scan.run_scan(
+            _spec("entropy", "cat-even", (0.0, 4.0, 5), (0.0, 0.0, 1), (0.05,), exact=True)
+        )
+        row = even.rows[2]
+        assert (row.re_alpha, row.tau) == (2.0, 0.05)
+        assert math.isnan(row.value)
+        assert not row.valid and not row.warn
+
+
+@pytest.mark.parametrize("figure", ["fig5", "fig6", "fig7"])
+def test_entropy_figure_golden(figure):
+    """Panel (a) of each entropy figure against its pinned CSV: same cells and flags, values to 1e-12."""
+    panel = next(p for p in load_manifest(figure)["panels"] if p["name"] == "a")
+    got = scan.run_scan(panel_to_spec(panel)).rows
+    want = scan.parse_csv(os.path.join(GOLDEN_DIR, f"{figure}_a.csv")).rows
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        assert (g.re_alpha, g.im_alpha, g.tau, g.valid, g.warn) == (
+            w.re_alpha, w.im_alpha, w.tau, w.valid, w.warn,
+        )
+        assert abs(g.value - w.value) <= 1e-12
 
 
 class TestEmitParse:

@@ -96,6 +96,46 @@ def test_coefficient_table_matches_scalar_loop(exact):
                 np.testing.assert_allclose(got, want, rtol=1e-13, atol=0.0)
 
 
+@pytest.mark.parametrize("exact", [False, True])
+def test_coefficient_rows_broadcast_and_slice_exactly(exact):
+    # the batched scan builds one (cells, K_max) table and slices [:, :K]
+    alphas = np.array([0.3, 1.0 + 1.0j, 2.5 - 0.7j, -1.1j, 0.0])
+    for tau in (0.0, 0.05, 2.0):
+        rows = states.raw_coherent_coeffs(alphas, tau, 61, exact)
+        assert rows.shape == (5, 61)
+        for i, alpha in enumerate(alphas):
+            for k in (6, 30, 43, 61):
+                want = states.raw_coherent_coeffs(complex(alpha), tau, k, exact)
+                assert np.array_equal(rows[i, :k], want)
+
+
+@pytest.mark.parametrize("exact", [False, True])
+def test_cat_from_one_table_matches_two_tables(exact):
+    # raw(alpha) + parity raw(-alpha), bit for bit below n = 100
+    for alpha in (0.4, 1.2 + 1.5j, -2.0 + 0.3j):
+        for tau in (0.0, 0.05, 2.0):
+            raw_p = states.raw_coherent_coeffs(alpha, tau, 60, exact)
+            raw_m = states.raw_coherent_coeffs(-alpha, tau, 60, exact)
+            for parity in (+1, -1):
+                want = raw_p + parity * raw_m
+                want[(1 if parity == +1 else 0) :: 2] = 0.0
+                assert np.array_equal(states.cat_combination(raw_p, parity), want)
+
+
+def test_state_rows_match_build_state():
+    alphas = [0.5, 1.0 + 1.0j, 2.0, 3.0 + 3.0j]
+    raw = states.raw_coherent_coeffs(np.array(alphas), 0.05, 30, True)
+    for family in StateFamily:
+        ok, vectors = states.state_rows(raw, family.parity)
+        assert ok.tolist() == [True, True, False, False]  # K = 30 is too small from |alpha| = 2
+        for alpha, vec in zip(alphas, vectors):
+            want = states.build_state(StateKind(family, alpha, 0.05), 30, True).vector.coeffs
+            assert np.array_equal(vec, want)
+        for alpha in alphas[2:]:
+            with pytest.raises(CutoffError):
+                states.build_state(StateKind(family, alpha, 0.05), 30, True)
+
+
 class TestBuildCoherent:
     def test_glauber_limit_is_poisson(self):
         alpha = 1.0 + 0.5j
