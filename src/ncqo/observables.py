@@ -11,6 +11,13 @@ metric matrix is applied to the states.
 For every kind we report U = varY - R and U~ = R - varZ, so the
 generalized-uncertainty validity value R(U - U~) - U U~ coincides with
 varY * varZ - R^2 (the saturation defect).
+
+The closed quadrature forms go through one kernel per family, returning
+(R, U, U~): cat_closed_terms computes |alpha|^2, Re(alpha^2) and the
+hyperbolic functions once for all three, and cat_R, cat_U, cat_U_tilde,
+cat_validity_value and the closed cat moments all read from it.
+closed_quadrature_values turns (R, U, U~) into varY, varZ and the
+saturation defect, for the moment records and for grid scans alike.
 """
 
 from __future__ import annotations
@@ -73,11 +80,20 @@ def _vector_of(state: DeformedState | FockVector) -> FockVector:
 # ---------------------------------------------------------------------------
 
 
+def coherent_closed_terms(alpha: complex, tau: float) -> tuple[float, float, float]:
+    """(R, U, U~) of a coherent state, where U~ = U."""
+    a = complex(alpha)
+    r = abs(a) ** 2
+    d = ((a - a.conjugate()) ** 2).real  # (alpha - alpha*)^2, real and <= 0
+    u = tau * (0.25 + r / 2.0)
+    return (2.0 + tau - tau * d) / 4.0, u, u
+
+
 def _coherent_closed(alpha: complex, tau: float) -> QuadratureMoments:
     a = complex(alpha)
     ac = a.conjugate()
     r = abs(a) ** 2
-    d = ((a - ac) ** 2).real  # (alpha - alpha*)^2, real and <= 0
+    d = ((a - ac) ** 2).real
     s = ((a + ac) ** 2).real
     w = (a**2 + ac**2).real
     w4 = (a**4 + ac**4).real
@@ -85,10 +101,7 @@ def _coherent_closed(alpha: complex, tau: float) -> QuadratureMoments:
     mean_z = (1j * (a - ac) * (2.0 * tau + tau * s - 4.0)).real / (4.0 * math.sqrt(2.0))
     mean_y2 = (2.0 + 2.0 * s - tau * (w + w4 - 4.0 * r - 2.0 * r**2 - 2.0)) / 4.0
     mean_z2 = (2.0 - 2.0 * d + tau * (w + w4 - 4.0 * r - 2.0 * r**2)) / 4.0
-    big_r = (2.0 + tau - tau * d) / 4.0
-    u = tau * (0.25 + r / 2.0)
-    var_y = big_r + u
-    var_z = big_r - u
+    big_r, u, ut, var_y, var_z, defect = closed_quadrature_values(*coherent_closed_terms(a, tau))
     return QuadratureMoments(
         mean_Y=mean_y,
         mean_Z=mean_z,
@@ -98,8 +111,8 @@ def _coherent_closed(alpha: complex, tau: float) -> QuadratureMoments:
         var_Z=var_z,
         R=big_r,
         U=u,
-        U_tilde=u,
-        saturation_defect=var_y * var_z - big_r**2,
+        U_tilde=ut,
+        saturation_defect=defect,
     )
 
 
@@ -108,65 +121,89 @@ def _coherent_closed(alpha: complex, tau: float) -> QuadratureMoments:
 # ---------------------------------------------------------------------------
 
 
+def cat_closed_terms(alpha: complex, tau: float, parity: int) -> tuple[float, float, float]:
+    """(R_±, U_±, U~_±) of the even (parity = +1) or odd (parity = -1) cat.
+
+    The one kernel behind cat_R, cat_U, cat_U_tilde, cat_validity_value and
+    the closed cat moments: |alpha|^2, w = 2 Re(alpha^2),
+    v = (alpha^2 - alpha*^2)^2 and the hyperbolic functions are computed once.
+    """
+    a = complex(alpha)
+    ac = a.conjugate()
+    r = abs(a) ** 2
+    a2 = a**2
+    ac2 = ac**2
+    w = (a2 + ac2).real
+    v = ((a2 - ac2) ** 2).real
+    quarter = tau / 4.0
+    if parity == +1:
+        th = math.tanh(r)
+        big_r = 0.5 + quarter * (1.0 - w + 2.0 * r * th)
+        u = (
+            w / 2.0
+            + r * th
+            + quarter * (1.0 - v + 2.0 * r * th - 4.0 * r**2 / math.cosh(r) ** 2)
+        )
+        d = ((a - ac) ** 2).real
+        e2 = 1.0 + math.exp(2.0 * r)
+        u_tilde = (
+            d * (1.0 - tau) / 2.0
+            + quarter * (1.0 + 2.0 * r - v)
+            + r * (2.0 - 3.0 * tau + 4.0 * tau * r) / e2
+            - 4.0 * tau * r**2 / e2**2
+        )
+        return big_r, u, u_tilde
+    coth = 1.0 / math.tanh(r)
+    sinh2 = math.sinh(r) ** 2
+    big_r = 0.5 + quarter * (1.0 - w + 2.0 * r * coth)
+    u = w / 2.0 + r * coth + quarter * (1.0 - v + 2.0 * r * coth + 4.0 * r**2 / sinh2)
+    u_tilde = (
+        w / 2.0
+        - r * coth
+        + quarter * (1.0 - w - v + 6.0 * r * coth - 4.0 * r**2 / sinh2)
+    )
+    return big_r, u, u_tilde
+
+
 def cat_R(alpha: complex, tau: float, parity: int) -> float:
     """Right-hand side R_± of the generalized uncertainty relation."""
-    a = complex(alpha)
-    r = abs(a) ** 2
-    w = (a**2 + a.conjugate() ** 2).real
-    hyp = math.tanh(r) if parity == +1 else 1.0 / math.tanh(r)
-    return 0.5 + (tau / 4.0) * (1.0 - w + 2.0 * r * hyp)
+    return cat_closed_terms(alpha, tau, parity)[0]
 
 
 def cat_U(alpha: complex, tau: float, parity: int) -> float:
     """Quadrature-Y expansion term U_±: varY_± = R_± + U_±."""
-    a = complex(alpha)
-    r = abs(a) ** 2
-    w = (a**2 + a.conjugate() ** 2).real
-    v = ((a**2 - a.conjugate() ** 2) ** 2).real
-    if parity == +1:
-        return (
-            w / 2.0
-            + r * math.tanh(r)
-            + (tau / 4.0)
-            * (1.0 - v + 2.0 * r * math.tanh(r) - 4.0 * r**2 / math.cosh(r) ** 2)
-        )
-    coth = 1.0 / math.tanh(r)
-    return (
-        w / 2.0
-        + r * coth
-        + (tau / 4.0) * (1.0 - v + 2.0 * r * coth + 4.0 * r**2 / math.sinh(r) ** 2)
-    )
+    return cat_closed_terms(alpha, tau, parity)[1]
 
 
 def cat_U_tilde(alpha: complex, tau: float, parity: int) -> float:
     """Quadrature-Z squeezing term U~_±: varZ_± = R_± - U~_±."""
-    a = complex(alpha)
-    r = abs(a) ** 2
-    w = (a**2 + a.conjugate() ** 2).real
-    v = ((a**2 - a.conjugate() ** 2) ** 2).real
-    d = ((a - a.conjugate()) ** 2).real
-    if parity == +1:
-        e2 = 1.0 + math.exp(2.0 * r)
-        return (
-            d * (1.0 - tau) / 2.0
-            + (tau / 4.0) * (1.0 + 2.0 * r - v)
-            + r * (2.0 - 3.0 * tau + 4.0 * tau * r) / e2
-            - 4.0 * tau * r**2 / e2**2
-        )
-    coth = 1.0 / math.tanh(r)
-    return (
-        w / 2.0
-        - r * coth
-        + (tau / 4.0) * (1.0 - w - v + 6.0 * r * coth - 4.0 * r**2 / math.sinh(r) ** 2)
-    )
+    return cat_closed_terms(alpha, tau, parity)[2]
+
+
+# What closed_quadrature_values returns, by scan quantity name.
+CLOSED_QUADRATURE_NAMES = ("R", "U", "U_tilde", "varY", "varZ", "saturation_defect")
+
+
+def closed_quadrature_values(
+    big_r: float, u: float, u_tilde: float
+) -> tuple[float, float, float, float, float, float]:
+    """(R, U, U~, varY, varZ, saturation defect) from the closed terms (R, U, U~).
+
+    varY = R + U, varZ = R - U~ and the defect is varY varZ - R^2.
+    """
+    var_y = big_r + u
+    var_z = big_r - u_tilde
+    return big_r, u, u_tilde, var_y, var_z, var_y * var_z - big_r**2
+
+
+def validity_value(big_r: float, u: float, u_tilde: float) -> float:
+    """R(U - U~) - U U~; the uncertainty relation is valid if >= 0."""
+    return big_r * (u - u_tilde) - u * u_tilde
 
 
 def cat_validity_value(alpha: complex, tau: float, parity: int) -> float:
     """R_±(U_± - U~_±) - U_± U~_±; the uncertainty relation is valid if >= 0."""
-    r = cat_R(alpha, tau, parity)
-    u = cat_U(alpha, tau, parity)
-    ut = cat_U_tilde(alpha, tau, parity)
-    return r * (u - ut) - u * ut
+    return validity_value(*cat_closed_terms(alpha, tau, parity))
 
 
 def cat_second_moments_raw(alpha: complex, tau: float, parity: int) -> tuple[float, float]:
@@ -201,11 +238,9 @@ def cat_second_moments_raw(alpha: complex, tau: float, parity: int) -> tuple[flo
 
 
 def _cat_closed(alpha: complex, tau: float, parity: int) -> QuadratureMoments:
-    big_r = cat_R(alpha, tau, parity)
-    u = cat_U(alpha, tau, parity)
-    ut = cat_U_tilde(alpha, tau, parity)
-    var_y = big_r + u
-    var_z = big_r - ut
+    big_r, u, ut, var_y, var_z, defect = closed_quadrature_values(
+        *cat_closed_terms(alpha, tau, parity)
+    )
     return QuadratureMoments(
         mean_Y=0.0,
         mean_Z=0.0,
@@ -216,7 +251,7 @@ def _cat_closed(alpha: complex, tau: float, parity: int) -> QuadratureMoments:
         R=big_r,
         U=u,
         U_tilde=ut,
-        saturation_defect=var_y * var_z - big_r**2,
+        saturation_defect=defect,
     )
 
 
@@ -259,49 +294,62 @@ def quad_moments_oracle(state: DeformedState | FockVector, tau: float) -> Quadra
 # ---------------------------------------------------------------------------
 
 
-def _coherent_mandel(alpha: complex, tau: float) -> NumberMoments:
+def closed_mandel_q(alpha: complex, tau: float, parity: int) -> float:
+    """First-order closed Mandel Q for parity 0 (coherent), +1 (even cat) or -1 (odd cat).
+
+    Q is undefined at alpha = 0, where 0 is returned (mandel_closed flags it).
+    """
     r = abs(alpha) ** 2
     if r == 0.0:
-        return NumberMoments(0.0, 0.0, 0.0, 0.0, flagged=True)
+        return 0.0
+    if parity == 0:
+        return -tau * r / 2.0
+    if parity == +1:
+        sh = math.sinh(2.0 * r)
+        ch = math.cosh(2.0 * r)
+        return r / (2.0 * sh) * (4.0 - 5.0 * tau - tau * ch) + (tau * r**2 / sh**2) * (
+            1.0 + 5.0 * ch
+        )
+    th = math.tanh(r)
+    return -(r / 2.0) * (
+        tau * th
+        + 4.0 * (1.0 - tau) / math.sinh(2.0 * r)
+        + tau * r / math.sinh(r) ** 2 * (2.0 + 3.0 * th**2)
+    )
+
+
+def _coherent_mandel(alpha: complex, tau: float) -> NumberMoments:
+    r = abs(alpha) ** 2
     mean_n = r - tau * r / 2.0 * (2.0 + r)
     mean_n2 = r + r**2 - tau * r * (1.0 + 3.0 * r + r**2)
     return NumberMoments(
         mean_N=mean_n,
         mean_N2=mean_n2,
         var_N=mean_n2 - mean_n**2,
-        mandel_Q=-tau * r / 2.0,
+        mandel_Q=closed_mandel_q(alpha, tau, 0),
     )
 
 
 def _cat_even_mandel(alpha: complex, tau: float) -> NumberMoments:
     r = abs(alpha) ** 2
-    if r == 0.0:
-        return NumberMoments(0.0, 0.0, 0.0, 0.0, flagged=True)
     th = math.tanh(r)
     mean_n = (1.0 - tau) * r * th + tau * r**2 * (th**2 - 1.5)
     mean_n2 = r**2 + (1.0 - tau - tau * r**2) * r * th + tau * r**2 * (th**2 - 4.0)
-    q = r / (2.0 * math.sinh(2.0 * r)) * (4.0 - 5.0 * tau - tau * math.cosh(2.0 * r)) + (
-        tau * r**2 / math.sinh(2.0 * r) ** 2
-    ) * (1.0 + 5.0 * math.cosh(2.0 * r))
     return NumberMoments(
-        mean_N=mean_n, mean_N2=mean_n2, var_N=mean_n2 - mean_n**2, mandel_Q=q
+        mean_N=mean_n,
+        mean_N2=mean_n2,
+        var_N=mean_n2 - mean_n**2,
+        mandel_Q=closed_mandel_q(alpha, tau, +1),
     )
 
 
 def _cat_odd_mandel(alpha: complex, tau: float) -> NumberMoments:
     # Only Q_- has a closed form; the intermediate moments are only
     # available through the oracle, so they are reported as NaN here.
-    r = abs(alpha) ** 2
-    if r == 0.0:
-        return NumberMoments(0.0, 0.0, 0.0, 0.0, flagged=True)
-    th = math.tanh(r)
-    q = -(r / 2.0) * (
-        tau * th
-        + 4.0 * (1.0 - tau) / math.sinh(2.0 * r)
-        + tau * r / math.sinh(r) ** 2 * (2.0 + 3.0 * th**2)
-    )
     nan = float("nan")
-    return NumberMoments(mean_N=nan, mean_N2=nan, var_N=nan, mandel_Q=q)
+    return NumberMoments(
+        mean_N=nan, mean_N2=nan, var_N=nan, mandel_Q=closed_mandel_q(alpha, tau, -1)
+    )
 
 
 def mandel_closed(kind: StateKind) -> NumberMoments:
@@ -311,6 +359,8 @@ def mandel_closed(kind: StateKind) -> NumberMoments:
     coherent states); var_N is always the moment-consistent
     mean_N2 - mean_N^2, which differs from Q's numerator at O(tau^2).
     """
+    if abs(kind.alpha) ** 2 == 0.0:
+        return NumberMoments(0.0, 0.0, 0.0, 0.0, flagged=True)
     if kind.family is StateFamily.COHERENT:
         return _coherent_mandel(kind.alpha, kind.tau)
     if kind.family is StateFamily.CAT_EVEN:

@@ -1,16 +1,24 @@
 """Grid scans over the complex-alpha plane and tau sweeps, with CSV/JSON emission.
 
 Cells are independent pure computations; rows come out tau-major, then im,
-then re, so the row order is deterministic. Closed-form quantities and
-photon distributions are evaluated one cell at a time. Entropy is evaluated
-one tau slice at a time: the slice's coherent coefficient rows and splitter
-tables are built once at its largest cutoff, and each group of cells that
-share a cutoff K runs as one stacked (cells, K, K) splitter kernel, in
-chunks of at most ENTROPY_CHUNK_ENTRIES matrix entries per temporary.
-Every cell gets the same bits as beamsplitter.entropy_for_kind. Cells that
-violate a state precondition (the odd cat at alpha ~ 0) or fail the
-cutoff tail check carry a NaN sentinel and valid = warn = False instead of
-aborting the scan.
+then re, so the row order is deterministic. Closed-form quantities are
+evaluated one tau slice at a time: the family's parity and the quantity's
+place among (R, U, U~, varY, varZ, saturation defect) are fixed once per
+slice, and each cell makes one call into the closed forms
+(observables.cat_closed_terms for cats, coherent_closed_terms for coherent
+states, closed_mandel_q for Mandel Q). A cat cell takes its value and its
+valid flag from the same (R, U, U~), so every bit equals the one-cell
+quad_moments_closed / mandel_closed and cat_validity_value. Photon
+distributions are evaluated one cell at a time. Entropy is evaluated one
+tau slice at a time as well: the slice's coherent coefficient rows and
+splitter tables are built once at its largest cutoff, and each group of
+cells that share a cutoff K runs as one stacked (cells, K, K) splitter
+kernel, in chunks of at most ENTROPY_CHUNK_ENTRIES matrix entries per
+temporary. Every cell gets the same bits as beamsplitter.entropy_for_kind.
+Cells that violate a state precondition (the odd cat at alpha ~ 0) or fail
+the cutoff tail check carry a NaN sentinel and valid = warn = False instead
+of aborting the scan. CSV rows are written with one printf-style format,
+floats at 17 significant digits.
 """
 
 from __future__ import annotations
@@ -26,10 +34,14 @@ from . import __version__
 from .beamsplitter import SplitterParams, linear_entropy_rows, splitter_tables
 from .errors import ConfigError, NcqoError
 from .observables import (
+    CLOSED_QUADRATURE_NAMES,
+    cat_closed_terms,
     cat_validity_value,
-    mandel_closed,
+    closed_mandel_q,
+    closed_quadrature_values,
+    coherent_closed_terms,
     photon_distribution,
-    quad_moments_closed,
+    validity_value,
 )
 from .states import (
     MIN_CAT_ODD_ALPHA,
@@ -141,31 +153,46 @@ def _degenerate(spec: ScanSpec, alpha: complex) -> bool:
 
 
 def _evaluate_cell(spec: ScanSpec, alpha: complex, tau: float) -> ScanRow:
+    """One photon_dist cell: build the state and read P(fock_n)."""
     if _degenerate(spec, alpha):
         return _nan_row(alpha, tau)
     valid, warn = _cell_flags(spec, alpha, tau)
-    kind = StateKind(spec.family, alpha, tau)
-    q = spec.quantity
     try:
-        if q is Quantity.MANDEL:
-            value = mandel_closed(kind).mandel_Q
-        elif q is Quantity.PHOTON_DIST:
-            state = build_state(kind, spec.cutoff, spec.exact)
-            dist = photon_distribution(state)
-            value = float(dist[spec.fock_n]) if spec.fock_n < dist.size else 0.0
-        else:
-            moments = quad_moments_closed(kind)
-            value = {
-                Quantity.VAR_Y: moments.var_Y,
-                Quantity.VAR_Z: moments.var_Z,
-                Quantity.R: moments.R,
-                Quantity.SATURATION_DEFECT: moments.saturation_defect,
-                Quantity.U: moments.U,
-                Quantity.U_TILDE: moments.U_tilde,
-            }[q]
+        state = build_state(StateKind(spec.family, alpha, tau), spec.cutoff, spec.exact)
     except NcqoError:
         return _nan_row(alpha, tau)
-    return ScanRow(alpha.real, alpha.imag, tau, float(value), valid, warn)
+    dist = photon_distribution(state)
+    value = float(dist[spec.fock_n]) if spec.fock_n < dist.size else 0.0
+    return ScanRow(alpha.real, alpha.imag, tau, value, valid, warn)
+
+
+def _closed_slice(spec: ScanSpec, alphas: list, tau: float) -> list:
+    """The closed-form rows of one tau slice, one call into the closed forms per cell.
+
+    A cat cell takes its value and its valid flag from the same (R, U, U~)
+    of observables.cat_closed_terms; a coherent cell is always valid.
+    """
+    parity = spec.family.parity
+    mandel = spec.quantity is Quantity.MANDEL
+    index = None if mandel else CLOSED_QUADRATURE_NAMES.index(spec.quantity.value)
+    rows = []
+    for alpha in alphas:
+        if _degenerate(spec, alpha):
+            rows.append(_nan_row(alpha, tau))
+            continue
+        valid = True
+        if parity:
+            terms = cat_closed_terms(alpha, tau, parity)
+            valid = validity_value(*terms) >= 0.0
+        elif not mandel:
+            terms = coherent_closed_terms(alpha, tau)
+        if mandel:
+            value = closed_mandel_q(alpha, tau, parity)
+        else:
+            value = closed_quadrature_values(*terms)[index]
+        warn = perturbative_warning_indicator(alpha, tau)
+        rows.append(ScanRow(alpha.real, alpha.imag, tau, value, valid, warn))
+    return rows
 
 
 def _entropy_slice(spec: ScanSpec, alphas: list, tau: float) -> list:
@@ -206,8 +233,10 @@ def run_scan(spec: ScanSpec) -> ScanTable:
     for tau in spec.tau_list:
         if spec.quantity is Quantity.ENTROPY:
             rows.extend(_entropy_slice(spec, alphas, tau))
-        else:
+        elif spec.quantity is Quantity.PHOTON_DIST:
             rows.extend(_evaluate_cell(spec, alpha, tau) for alpha in alphas)
+        else:
+            rows.extend(_closed_slice(spec, alphas, tau))
     metadata = {
         "quantity": spec.quantity.value,
         "kind": spec.family.value,
@@ -230,12 +259,8 @@ def run_scan(spec: ScanSpec) -> ScanTable:
     return ScanTable(rows=tuple(rows), metadata=metadata)
 
 
-def _fmt(x: float) -> str:
-    return f"{x:.17g}"
-
-
-def _fmt_bool(b: bool) -> str:
-    return "true" if b else "false"
+# One CSV row: floats at 17 significant digits, then the two flags.
+_CSV_ROW = "%.17g,%.17g,%.17g,%.17g,%s,%s"
 
 
 def emit(table: ScanTable, format: str, path: str) -> None:
@@ -245,19 +270,18 @@ def emit(table: ScanTable, format: str, path: str) -> None:
     try:
         if format == "csv":
             lines = [CSV_HEADER]
-            for r in table.rows:
-                lines.append(
-                    ",".join(
-                        (
-                            _fmt(r.re_alpha),
-                            _fmt(r.im_alpha),
-                            _fmt(r.tau),
-                            _fmt(r.value),
-                            _fmt_bool(r.valid),
-                            _fmt_bool(r.warn),
-                        )
-                    )
+            lines.extend(
+                _CSV_ROW
+                % (
+                    r.re_alpha,
+                    r.im_alpha,
+                    r.tau,
+                    r.value,
+                    "true" if r.valid else "false",
+                    "true" if r.warn else "false",
                 )
+                for r in table.rows
+            )
             with open(path, "w", newline="") as fh:
                 fh.write("\n".join(lines) + "\n")
         else:

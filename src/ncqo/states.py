@@ -137,7 +137,8 @@ def coefficient_table(alpha, tau: float, cutoff: int, exact: bool = False) -> np
         quad = f2[1:-3] * f2[2:-2] * f2[3:-1] * f2[4:]  # f^2(n+1) ... f^2(n+4)
         ratio_up = quad**-0.5
         ratio_dn = quad[: max(cutoff - 4, 0)] ** 0.5  # f^2(n-3) ... f^2(n), n >= 4
-        inv_f = np.cumprod(np.concatenate(([1.0], f2[1:cutoff]))) ** -0.5  # f^2(n)! = prod_{k<=n}
+        # 1/sqrt(f^2(n)!) as a running product of f^2(k)^(-1/2): the factorial itself overflows
+        inv_f = np.cumprod(np.concatenate(([1.0], f2[1:cutoff] ** -0.5)))
     else:
         ratio_up = ratio_dn = 1.0
         inv_f = 1.0 - tau * n * (3 + n) / 8.0

@@ -10,7 +10,7 @@ from ncqo.beamsplitter import SplitterParams, entropy_for_kind
 from ncqo.cli import main
 from ncqo.errors import ConfigError, CutoffError
 from ncqo.figrun import FIGURE_NAMES, load_manifest, panel_to_spec, run_figure
-from ncqo.observables import cat_validity_value
+from ncqo.observables import cat_validity_value, mandel_closed, quad_moments_closed
 from ncqo.states import (
     MIN_CAT_ODD_ALPHA,
     StateFamily,
@@ -22,6 +22,16 @@ from ncqo.states import (
 
 GOLDEN_DIR = os.path.join(os.path.dirname(__file__), "golden")
 GOLDEN = os.path.join(GOLDEN_DIR, "cat_even_utilde.csv")
+CLOSED_QUANTITIES = ("varY", "varZ", "R", "U", "U_tilde", "saturation_defect", "mandel")
+# QuadratureMoments field of each closed quadrature quantity
+MOMENT_FIELD = {
+    "varY": "var_Y",
+    "varZ": "var_Z",
+    "R": "R",
+    "U": "U",
+    "U_tilde": "U_tilde",
+    "saturation_defect": "saturation_defect",
+}
 
 
 def _spec(quantity, family, re, im, taus, **kw):
@@ -100,6 +110,50 @@ def _one_cell_row(spec, alpha, tau):
         cat_validity_value(alpha, tau, spec.family.parity) >= 0.0
     )
     return scan.ScanRow(alpha.real, alpha.imag, tau, value, valid, warn)
+
+
+def _closed_reference_row(spec, alpha, tau):
+    """What the scan must give for one closed-form cell, from the public closed forms."""
+    if spec.family is StateFamily.CAT_ODD and abs(alpha) < MIN_CAT_ODD_ALPHA:
+        return scan.ScanRow(alpha.real, alpha.imag, tau, math.nan, False, False)
+    kind = StateKind(spec.family, alpha, tau)
+    if spec.quantity is scan.Quantity.MANDEL:
+        value = mandel_closed(kind).mandel_Q
+    else:
+        value = getattr(quad_moments_closed(kind), MOMENT_FIELD[spec.quantity.value])
+    valid = spec.family is StateFamily.COHERENT or (
+        cat_validity_value(alpha, tau, spec.family.parity) >= 0.0
+    )
+    warn = perturbative_warning_indicator(alpha, tau)
+    return scan.ScanRow(alpha.real, alpha.imag, tau, value, valid, warn)
+
+
+@pytest.mark.parametrize("family", list(StateFamily))
+@pytest.mark.parametrize("quantity", CLOSED_QUANTITIES)
+def test_closed_scan_equals_one_cell_reference(quantity, family):
+    # alpha = 0 is the odd cat's NaN row; the grid reaches |alpha| = 2.97
+    spec = _spec(quantity, family.value, (-2.0, 2.0, 5), (0.0, 2.2, 3), (0.0, 0.01, 0.5, 5.0))
+    rows = scan.run_scan(spec).rows
+    assert len(rows) == 5 * 3 * 4
+    for row in rows:
+        want = _closed_reference_row(spec, complex(row.re_alpha, row.im_alpha), row.tau)
+        assert scan.rows_equal(row, want), (row, want)
+    nan_rows = [r for r in rows if math.isnan(r.value)]
+    assert len(nan_rows) == (4 if family is StateFamily.CAT_ODD else 0)
+
+
+@pytest.mark.parametrize("family", list(StateFamily))
+@pytest.mark.parametrize("quantity", CLOSED_QUANTITIES)
+def test_closed_golden_byte_exact(quantity, family, tmp_path):
+    """Each closed quantity and family against its pinned CSV, byte for byte."""
+    spec = _spec(quantity, family.value, (-1.0, 2.0, 4), (0.0, 1.3, 2), (0.0, 0.01, 0.5, 5.0))
+    path = str(tmp_path / "closed.csv")
+    scan.emit(scan.run_scan(spec), "csv", path)
+    with open(path, "rb") as fh:
+        got = fh.read()
+    with open(os.path.join(GOLDEN_DIR, "closed", f"{quantity}_{family.value}.csv"), "rb") as fh:
+        want = fh.read()
+    assert got == want
 
 
 class TestBatchedEntropy:
@@ -200,6 +254,29 @@ class TestEmitParse:
             lines = fh.read().splitlines()
         assert lines[0] == "re_alpha,im_alpha,tau,value,valid,warn"
         assert lines[1] == "1,0,0.10000000000000001,-0.050000000000000003,true,true"
+
+    def test_csv_edge_values(self, tmp_path):
+        rows = (
+            scan.ScanRow(0.0, 0.0, 0.5, math.nan, False, False),
+            scan.ScanRow(-0.0, 1.0, 0.0, -0.0, True, False),
+            scan.ScanRow(1.0, 0.0, 5.0, math.inf, False, True),
+            scan.ScanRow(0.1, -2.5, 0.01, 0.10000000000000001, True, True),
+        )
+        table = scan.ScanTable(rows=rows)
+        path = str(tmp_path / "edges.csv")
+        scan.emit(table, "csv", path)
+        with open(path) as fh:
+            lines = fh.read().splitlines()
+        assert lines[1:] == [
+            "0,0,0.5,nan,false,false",
+            "-0,1,0,-0,true,false",
+            "1,0,5,inf,false,true",
+            "0.10000000000000001,-2.5,0.01,0.10000000000000001,true,true",
+        ]
+        back = scan.parse_csv(path)
+        assert scan.tables_equal(table, back)
+        assert math.copysign(1.0, back.rows[1].value) == -1.0
+        assert back.rows[3].value == 0.1
 
     def test_parse_rejects_foreign_csv(self, tmp_path):
         path = str(tmp_path / "bad.csv")

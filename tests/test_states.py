@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ncqo import states
-from ncqo.deformation import amplitude_inv_f_factorial, coefficient_C
+from ncqo.deformation import amplitude_inv_f_factorial, coefficient_C, f_squared
 from ncqo.errors import CutoffError, DegenerateStateError, PerturbativeBreakdownError
 from ncqo.states import StateFamily, StateKind
 
@@ -94,6 +94,23 @@ def test_coefficient_table_matches_scalar_loop(exact):
                 )
                 assert got.shape == (k,)
                 np.testing.assert_allclose(got, want, rtol=1e-13, atol=0.0)
+
+
+def test_exact_table_keeps_every_level_at_large_n_tau():
+    # fig8_b's point: f^2(n)! itself passes the largest double at n = 129
+    alpha, tau, k = 1.2 + 10.5j, 10.0, 205
+    with np.errstate(over="raise"):
+        table = states.coefficient_table(alpha, tau, k, exact=True)
+    assert np.count_nonzero(table == 0.0) == 0
+    # log-space reference for 1/sqrt(f^2(n)!), whose rounding grows with log f^2(n)!
+    log_f2_factorial = np.cumsum([0.0] + [math.log(f_squared(j, tau)) for j in range(1, k)])
+    want = np.array(
+        [
+            coefficient_C(alpha, n, tau, exact_ratios=True) * math.exp(-0.5 * log_f2_factorial[n])
+            for n in range(k)
+        ]
+    )
+    np.testing.assert_allclose(table, want, rtol=1e-12, atol=0.0)
 
 
 @pytest.mark.parametrize("exact", [False, True])
