@@ -10,12 +10,18 @@ from ncqo.beamsplitter import SplitterParams, entropy_for_kind
 from ncqo.cli import main
 from ncqo.errors import ConfigError, CutoffError
 from ncqo.figrun import FIGURE_NAMES, load_manifest, panel_to_spec, run_figure
-from ncqo.observables import cat_validity_value, mandel_closed, quad_moments_closed
+from ncqo.observables import (
+    cat_validity_value,
+    mandel_closed,
+    photon_distribution,
+    quad_moments_closed,
+)
 from ncqo.states import (
     MIN_CAT_ODD_ALPHA,
     StateFamily,
     StateKind,
     build_cat,
+    build_state,
     default_cutoff,
     perturbative_warning_indicator,
 )
@@ -212,6 +218,74 @@ class TestBatchedEntropy:
         assert (row.re_alpha, row.tau) == (2.0, 0.05)
         assert math.isnan(row.value)
         assert not row.valid and not row.warn
+
+
+def _photon_reference_row(spec, alpha, tau):
+    """What the scan must give for one photon_dist cell, from photon_distribution(build_state(...))."""
+    nan_row = scan.ScanRow(alpha.real, alpha.imag, tau, math.nan, False, False)
+    if spec.family is StateFamily.CAT_ODD and abs(alpha) < MIN_CAT_ODD_ALPHA:
+        return nan_row
+    try:
+        state = build_state(StateKind(spec.family, alpha, tau), spec.cutoff, spec.exact)
+    except CutoffError:
+        return nan_row
+    dist = photon_distribution(state)
+    value = float(dist[spec.fock_n]) if spec.fock_n < dist.size else 0.0
+    warn = perturbative_warning_indicator(alpha, tau)
+    valid = spec.family is StateFamily.COHERENT or (
+        cat_validity_value(alpha, tau, spec.family.parity) >= 0.0
+    )
+    return scan.ScanRow(alpha.real, alpha.imag, tau, value, valid, warn)
+
+
+@pytest.mark.parametrize("cutoff", [None, 40], ids=["auto", "K40"])
+@pytest.mark.parametrize("exact", [False, True])
+@pytest.mark.parametrize("family", list(StateFamily))
+def test_photon_scan_equals_one_cell_reference(family, exact, cutoff):
+    # alpha = 0 is the odd cat's NaN row; |alpha| >= 2 fails the cutoff tail
+    # check at tau = 0.01 and 0.05; fock_n = 40 lies past every cutoff used
+    nan_cells = 0
+    for fock_n in (0, 3, 7, 40):
+        spec = _spec(
+            "photon_dist", family.value, (0.0, 4.0, 9), (0.0, 2.0, 5), (0.0, 0.01, 0.05, 2.0),
+            cutoff=cutoff, exact=exact, fock_n=fock_n,
+        )
+        rows = scan.run_scan(spec).rows
+        assert len(rows) == 9 * 5 * 4
+        for row in rows:
+            want = _photon_reference_row(spec, complex(row.re_alpha, row.im_alpha), row.tau)
+            assert scan.rows_equal(row, want), (row, want)
+        nan_cells += sum(math.isnan(r.value) for r in rows)
+        if fock_n == 40 and cutoff == 40:
+            assert all(r.value == 0.0 for r in rows if not math.isnan(r.value))
+    assert nan_cells > (4 * 4 if family is StateFamily.CAT_ODD else 0)
+
+
+PHOTON_GOLDEN_BLOCKS = ((False, 0), (False, 3), (True, 0), (True, 3))  # (exact, fock_n)
+
+
+def _photon_golden_table(family):
+    """The photon_dist golden's rows: one scan per (exact, fock_n) block, in block order."""
+    rows = []
+    for exact, fock_n in PHOTON_GOLDEN_BLOCKS:
+        spec = _spec(
+            "photon_dist", family.value, (0.0, 4.0, 5), (0.0, 2.0, 3), (0.0, 0.01, 0.5),
+            exact=exact, fock_n=fock_n,
+        )
+        rows.extend(scan.run_scan(spec).rows)
+    return scan.ScanTable(rows=tuple(rows))
+
+
+@pytest.mark.parametrize("family", list(StateFamily))
+def test_photon_golden_byte_exact(family, tmp_path):
+    """photon_dist in both coefficient modes, with cutoff NaN cells, against its pinned CSV."""
+    path = str(tmp_path / "photon.csv")
+    scan.emit(_photon_golden_table(family), "csv", path)
+    with open(path, "rb") as fh:
+        got = fh.read()
+    with open(os.path.join(GOLDEN_DIR, "photon_dist", f"{family.value}.csv"), "rb") as fh:
+        want = fh.read()
+    assert got == want
 
 
 @pytest.mark.parametrize("figure", ["fig5", "fig6", "fig7"])
