@@ -11,12 +11,13 @@ sum_n c_n |n> (x) |0> is the dense amplitude matrix
 
 and rho_A = A A^+. Linear entropy S = 1 - Tr rho_A^2 = 1 - ||A A^+||_F^2 is
 evaluated through this one kernel twice: as a density-matrix oracle on the
-renormalized state, and as the closed coherent-state sum on the raw
-coefficients with the closed-form norm. The kernel takes a leading batch
-axis: linear_entropy_rows evaluates a stack of states, one (cells, K, K)
-matmul, with the alpha-independent splitter_tables built once. A naive
-four-index loop is kept as a micro-oracle for the closed sum at small
-cutoffs.
+renormalized state (entropy_for_kind on one build_state vector,
+linear_entropy_rows on a stack of states.state_rows vectors, one
+(cells, K, K) matmul with the alpha-independent splitter_tables built
+once), and as the closed coherent-state sum on the raw coefficients with
+the closed-form norm (linear_entropy_closed). Both guard the cutoff with
+the one tail criterion, states.tail_converged. A naive four-index loop is
+kept as a micro-oracle for the closed sum at small cutoffs.
 """
 
 from __future__ import annotations
@@ -28,17 +29,16 @@ from dataclasses import dataclass
 import numpy as np
 
 from .deformation import amplitude_inv_f_factorial, coefficient_C
-from .errors import CutoffError
 from .fock import FockVector, basis_state
 from .states import (
     DeformedState,
-    StateFamily,
     StateKind,
     build_state,
     coherent_norm_sq,
-    default_cutoff,
+    cutoff_error,
     log_factorials,
     raw_coherent_coeffs,
+    tail_converged,
 )
 
 
@@ -130,21 +130,12 @@ def linear_entropy_oracle(rho: np.ndarray):
 def linear_entropy_rows(vectors: np.ndarray, tables: tuple) -> np.ndarray:
     """S for each normalized state row of (cells, K) as one stacked kernel.
 
-    The batched form of entropy_for_kind's oracle path: the same
-    normalization check, amplitude matrix, rho and purity, per row.
-    tables come from splitter_tables at any cutoff >= K.
+    The batched form of entropy_for_kind: the same normalization check,
+    amplitude matrix, rho and purity, per row. tables come from
+    splitter_tables at any cutoff >= K.
     """
     _check_normalized(vectors)
     return linear_entropy_oracle(reduced_density(_amplitude_matrix(vectors, tables)))
-
-
-def _check_entropy_tail(raw: np.ndarray, alpha: complex, cutoff: int) -> None:
-    w = np.abs(raw) ** 2
-    if float(w[-1]) > 1e-10 * float(np.sum(w)):
-        raise CutoffError(
-            f"entropy sum tail not converged at cutoff {cutoff} for alpha = {alpha}; "
-            f"suggested cutoff {max(default_cutoff(alpha), math.ceil(1.5 * cutoff))}"
-        )
 
 
 def linear_entropy_closed(
@@ -168,12 +159,13 @@ def linear_entropy_closed(
     consumed, so the defect against the renormalized density-matrix oracle
     is O(tau^2).
 
-    check_tail=False skips the convergence guard; used when comparing
-    against the naive quadruple loop at deliberately small cutoffs.
+    The convergence guard is states.tail_converged, the one that
+    build_state applies; check_tail=False skips it, for comparisons with
+    the naive quadruple loop at deliberately small cutoffs.
     """
     raw = raw_coherent_coeffs(alpha, tau, cutoff, exact=exact)
-    if check_tail:
-        _check_entropy_tail(raw, alpha, cutoff)
+    if check_tail and not tail_converged(raw):
+        raise cutoff_error(alpha, cutoff)
     rho = reduced_density(_amplitude_matrix(raw, splitter_tables(cutoff, params)))
     n2 = coherent_norm_sq(alpha, tau, strict=False)
     return 1.0 - float(np.sum(np.abs(rho) ** 2)) / n2**2
@@ -227,20 +219,11 @@ def entropy_for_kind(
     params: SplitterParams,
     cutoff: int | None = None,
     exact: bool = False,
-    method: str = "oracle",
 ) -> float:
     """Linear entropy of the splitter output for a state template.
 
-    Cat states always go through the density-matrix oracle (no closed sum
-    is printed for them); coherent states accept method='closed' as well.
+    The density-matrix oracle on build_state's normalized vector; the
+    closed coherent sum is linear_entropy_closed.
     """
-    if method not in ("oracle", "closed"):
-        raise ValueError("method must be 'oracle' or 'closed'")
-    if method == "closed":
-        if kind.family is not StateFamily.COHERENT:
-            raise ValueError("closed entropy sum is only available for coherent states")
-        k = default_cutoff(kind.alpha) if cutoff is None else cutoff
-        return linear_entropy_closed(kind.alpha, kind.tau, params, k, exact)
     state = build_state(kind, cutoff, exact)
-    rho = reduced_density(split_state(state, params))
-    return linear_entropy_oracle(rho)
+    return linear_entropy_oracle(reduced_density(split_state(state, params)))

@@ -121,13 +121,6 @@ def coefficient_C(alpha: complex, n: int, tau: float, exact_ratios: bool = False
     return c
 
 
-def deformed_lowering(tau: float, cutoff: int) -> OperatorMatrix:
-    """Generalised annihilation operator A = a f(n), with f evaluated exactly."""
-    a = fock.ladder_lowering(cutoff).mat
-    fdiag = np.sqrt(1.0 + tau * (1 + np.arange(cutoff)) / 2.0)
-    return OperatorMatrix(a * fdiag[np.newaxis, :])
-
-
 def hamiltonian(tau: float, cutoff: int) -> OperatorMatrix:
     """Noncommutative oscillator H = P^2/2 + X^2/2 - (2+tau)/4 with X = (1+tau p^2) x.
 

@@ -126,12 +126,6 @@ def ladder_lowering(cutoff: int) -> OperatorMatrix:
     return OperatorMatrix(m)
 
 
-def number_operator(cutoff: int) -> OperatorMatrix:
-    if cutoff < 1:
-        raise DimensionError("cutoff must be >= 1")
-    return OperatorMatrix(np.diag(np.arange(cutoff, dtype=np.complex128)))
-
-
 def quadratures(cutoff: int) -> tuple[OperatorMatrix, OperatorMatrix]:
     """Dimensionless position/momentum pair y = (a^† + a)/√2, z = i(a^† − a)/√2."""
     if cutoff < 2:

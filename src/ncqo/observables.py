@@ -18,6 +18,11 @@ hyperbolic functions once for all three, and cat_R, cat_U, cat_U_tilde,
 cat_validity_value and the closed cat moments all read from it.
 closed_quadrature_values turns (R, U, U~) into varY, varZ and the
 saturation defect, for the moment records and for grid scans alike.
+
+The closed cat forms are total in |alpha|. A term divided by a growing
+hyperbolic or exponential factor (cosh^2 r, sinh^2 r, e^(2r), ...) takes
+its large-r limit 0 only where that factor passes the float range, so
+every value the plain formula can represent keeps its bits.
 """
 
 from __future__ import annotations
@@ -138,23 +143,33 @@ def cat_closed_terms(alpha: complex, tau: float, parity: int) -> tuple[float, fl
     quarter = tau / 4.0
     if parity == +1:
         th = math.tanh(r)
+        try:
+            cosh2 = math.cosh(r) ** 2
+        except OverflowError:  # from r ~ 355.6
+            cosh2 = math.inf
         big_r = 0.5 + quarter * (1.0 - w + 2.0 * r * th)
-        u = (
-            w / 2.0
-            + r * th
-            + quarter * (1.0 - v + 2.0 * r * th - 4.0 * r**2 / math.cosh(r) ** 2)
-        )
+        u = w / 2.0 + r * th + quarter * (1.0 - v + 2.0 * r * th - 4.0 * r**2 / cosh2)
         d = ((a - ac) ** 2).real
-        e2 = 1.0 + math.exp(2.0 * r)
+        try:
+            e2 = 1.0 + math.exp(2.0 * r)
+        except OverflowError:  # from r ~ 354.9
+            e2 = math.inf
+        try:
+            e2_sq = e2**2
+        except OverflowError:  # from r ~ 177.4
+            e2_sq = math.inf
         u_tilde = (
             d * (1.0 - tau) / 2.0
             + quarter * (1.0 + 2.0 * r - v)
             + r * (2.0 - 3.0 * tau + 4.0 * tau * r) / e2
-            - 4.0 * tau * r**2 / e2**2
+            - 4.0 * tau * r**2 / e2_sq
         )
         return big_r, u, u_tilde
     coth = 1.0 / math.tanh(r)
-    sinh2 = math.sinh(r) ** 2
+    try:
+        sinh2 = math.sinh(r) ** 2
+    except OverflowError:  # from r ~ 355.6
+        sinh2 = math.inf
     big_r = 0.5 + quarter * (1.0 - w + 2.0 * r * coth)
     u = w / 2.0 + r * coth + quarter * (1.0 - v + 2.0 * r * coth + 4.0 * r**2 / sinh2)
     u_tilde = (
@@ -305,17 +320,27 @@ def closed_mandel_q(alpha: complex, tau: float, parity: int) -> float:
     if parity == 0:
         return -tau * r / 2.0
     if parity == +1:
-        sh = math.sinh(2.0 * r)
-        ch = math.cosh(2.0 * r)
-        return r / (2.0 * sh) * (4.0 - 5.0 * tau - tau * ch) + (tau * r**2 / sh**2) * (
-            1.0 + 5.0 * ch
-        )
+        try:
+            sh = math.sinh(2.0 * r)
+            ch = math.cosh(2.0 * r)
+            return r / (2.0 * sh) * (4.0 - 5.0 * tau - tau * ch) + (tau * r**2 / sh**2) * (
+                1.0 + 5.0 * ch
+            )
+        except OverflowError:
+            # sh^2 overflows from r ~ 177.8, where 1 / (2 sh) = e^(-2r), ch / sh = 1
+            # and r^2 ch / sh^2 = 0 to double precision
+            return r * math.exp(-2.0 * r) * (4.0 - 5.0 * tau) - tau * r / 2.0
     th = math.tanh(r)
-    return -(r / 2.0) * (
-        tau * th
-        + 4.0 * (1.0 - tau) / math.sinh(2.0 * r)
-        + tau * r / math.sinh(r) ** 2 * (2.0 + 3.0 * th**2)
-    )
+    try:
+        return -(r / 2.0) * (
+            tau * th
+            + 4.0 * (1.0 - tau) / math.sinh(2.0 * r)
+            + tau * r / math.sinh(r) ** 2 * (2.0 + 3.0 * th**2)
+        )
+    except OverflowError:
+        # sinh(2r) overflows from r ~ 355.2, where 1 / sinh(2r) and r / sinh^2 r
+        # are 0 to double precision
+        return -(r / 2.0) * (tau * th)
 
 
 def _coherent_mandel(alpha: complex, tau: float) -> NumberMoments:
@@ -400,9 +425,17 @@ def mandel_oracle(state: DeformedState | FockVector, tau: float) -> NumberMoment
     return NumberMoments(mean_n, mean_n2, var_n, var_n / mean_n - 1.0)
 
 
+def photon_distribution_rows(coeffs: np.ndarray) -> np.ndarray:
+    """P(n) = |c_n|^2 for each normalized state row of (..., K).
+
+    Every row must sum to 1 within 1e-10.
+    """
+    probs = np.abs(coeffs) ** 2
+    if not np.all(np.abs(np.sum(probs, axis=-1) - 1.0) <= 1e-10):
+        raise ValueError("photon_distribution expects a normalized state")
+    return probs
+
+
 def photon_distribution(state: DeformedState | FockVector) -> np.ndarray:
     """P(n) = |c_n|^2 of a normalized state; sums to 1 within 1e-10."""
-    vec = _vector_of(state)
-    if not vec.is_normalized(1e-10):
-        raise ValueError("photon_distribution expects a normalized state")
-    return np.abs(vec.coeffs) ** 2
+    return photon_distribution_rows(_vector_of(state).coeffs)

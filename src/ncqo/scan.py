@@ -1,20 +1,25 @@
 """Grid scans over the complex-alpha plane and tau sweeps, with CSV/JSON emission.
 
 Cells are independent pure computations; rows come out tau-major, then im,
-then re, so the row order is deterministic. Closed-form quantities are
-evaluated one tau slice at a time: the family's parity and the quantity's
-place among (R, U, U~, varY, varZ, saturation defect) are fixed once per
-slice, and each cell makes one call into the closed forms
-(observables.cat_closed_terms for cats, coherent_closed_terms for coherent
-states, closed_mandel_q for Mandel Q). A cat cell takes its value and its
-valid flag from the same (R, U, U~), so every bit equals the one-cell
-quad_moments_closed / mandel_closed and cat_validity_value. Photon
-distributions are evaluated one cell at a time. Entropy is evaluated one
-tau slice at a time as well: the slice's coherent coefficient rows and
-splitter tables are built once at its largest cutoff, and each group of
-cells that share a cutoff K runs as one stacked (cells, K, K) splitter
-kernel, in chunks of at most ENTROPY_CHUNK_ENTRIES matrix entries per
-temporary. Every cell gets the same bits as beamsplitter.entropy_for_kind.
+then re, so the row order is deterministic. Every quantity is evaluated
+one tau slice at a time, on one of two paths:
+
+* Closed-form quantities: the family's parity and the quantity's place
+  among (R, U, U~, varY, varZ, saturation defect) are fixed once per
+  slice, and each cell makes one call into the closed forms
+  (observables.cat_closed_terms for cats, coherent_closed_terms for
+  coherent states, closed_mandel_q for Mandel Q). A cat cell takes its
+  value and its valid flag from the same (R, U, U~), so every bit equals
+  the one-cell quad_moments_closed / mandel_closed and cat_validity_value.
+* State quantities (entropy, photon_dist): the slice's coherent
+  coefficient rows are built once at its largest cutoff, the cells that
+  share a cutoff K are turned into normalized states by states.state_rows,
+  in chunks of at most STATE_CHUNK_ENTRIES // K^2 cells, and each chunk is
+  reduced to one value per cell: the stacked (cells, K, K) splitter
+  kernel for entropy, P(fock_n) for photon_dist (0.0 where fock_n >= K).
+  Every cell gets the same bits as the one-cell build_state followed by
+  beamsplitter.entropy_for_kind or observables.photon_distribution.
+
 Cells that violate a state precondition (the odd cat at alpha ~ 0) or fail
 the cutoff tail check carry a NaN sentinel and valid = warn = False instead
 of aborting the scan. CSV rows are written with one printf-style format,
@@ -32,7 +37,7 @@ import numpy as np
 
 from . import __version__
 from .beamsplitter import SplitterParams, linear_entropy_rows, splitter_tables
-from .errors import ConfigError, NcqoError
+from .errors import ConfigError
 from .observables import (
     CLOSED_QUADRATURE_NAMES,
     cat_closed_terms,
@@ -40,14 +45,12 @@ from .observables import (
     closed_mandel_q,
     closed_quadrature_values,
     coherent_closed_terms,
-    photon_distribution,
+    photon_distribution_rows,
     validity_value,
 )
 from .states import (
     MIN_CAT_ODD_ALPHA,
     StateFamily,
-    StateKind,
-    build_state,
     default_cutoff,
     perturbative_warning_indicator,
     raw_coherent_coeffs,
@@ -56,8 +59,9 @@ from .states import (
 
 CSV_HEADER = "re_alpha,im_alpha,tau,value,valid,warn"
 # Complex entries per (cells, K, K) temporary of a stacked entropy chunk
-# (1 MiB each): about 70 cells at K = 30 and 17 at K = 61.
-ENTROPY_CHUNK_ENTRIES = 1 << 16
+# (1 MiB each): about 70 cells at K = 30 and 17 at K = 61. photon_dist
+# chunks hold as many cells.
+STATE_CHUNK_ENTRIES = 1 << 16
 
 
 class Quantity(Enum):
@@ -152,20 +156,6 @@ def _degenerate(spec: ScanSpec, alpha: complex) -> bool:
     return spec.family is StateFamily.CAT_ODD and abs(alpha) < MIN_CAT_ODD_ALPHA
 
 
-def _evaluate_cell(spec: ScanSpec, alpha: complex, tau: float) -> ScanRow:
-    """One photon_dist cell: build the state and read P(fock_n)."""
-    if _degenerate(spec, alpha):
-        return _nan_row(alpha, tau)
-    valid, warn = _cell_flags(spec, alpha, tau)
-    try:
-        state = build_state(StateKind(spec.family, alpha, tau), spec.cutoff, spec.exact)
-    except NcqoError:
-        return _nan_row(alpha, tau)
-    dist = photon_distribution(state)
-    value = float(dist[spec.fock_n]) if spec.fock_n < dist.size else 0.0
-    return ScanRow(alpha.real, alpha.imag, tau, value, valid, warn)
-
-
 def _closed_slice(spec: ScanSpec, alphas: list, tau: float) -> list:
     """The closed-form rows of one tau slice, one call into the closed forms per cell.
 
@@ -195,8 +185,8 @@ def _closed_slice(spec: ScanSpec, alphas: list, tau: float) -> list:
     return rows
 
 
-def _entropy_slice(spec: ScanSpec, alphas: list, tau: float) -> list:
-    """The entropy rows of one tau slice, one stacked kernel per cutoff group and chunk."""
+def _state_slice(spec: ScanSpec, alphas: list, tau: float) -> list:
+    """The entropy or photon_dist rows of one tau slice, by cutoff group and chunk."""
     live = [i for i, alpha in enumerate(alphas) if not _degenerate(spec, alpha)]
     flags = {i: _cell_flags(spec, alphas[i], tau) for i in live}
     values = {}
@@ -206,15 +196,20 @@ def _entropy_slice(spec: ScanSpec, alphas: list, tau: float) -> list:
         )
         k_max = int(cutoffs.max())
         raw = raw_coherent_coeffs(np.array([alphas[i] for i in live]), tau, k_max, spec.exact)
-        tables = splitter_tables(k_max, spec.splitter)
+        entropy = spec.quantity is Quantity.ENTROPY
+        tables = splitter_tables(k_max, spec.splitter) if entropy else None
         for k in sorted(set(cutoffs.tolist())):
             group = np.flatnonzero(cutoffs == k)
-            step = max(1, ENTROPY_CHUNK_ENTRIES // (k * k))
+            step = max(1, STATE_CHUNK_ENTRIES // (k * k))
             for start in range(0, group.size, step):
                 chunk = group[start : start + step]
-                ok, vectors = state_rows(raw[chunk, :k], spec.family.parity)
-                entropies = linear_entropy_rows(vectors, tables)
-                values.update(zip((live[j] for j in chunk[ok]), entropies.tolist()))
+                ok, vectors, _ = state_rows(raw[chunk, :k], spec.family.parity)
+                if entropy:
+                    out = linear_entropy_rows(vectors, tables)
+                else:
+                    probs = photon_distribution_rows(vectors)
+                    out = probs[:, spec.fock_n] if spec.fock_n < k else np.zeros(len(probs))
+                values.update(zip((live[j] for j in chunk[ok]), out.tolist()))
     rows = []
     for i, alpha in enumerate(alphas):
         if i in values:
@@ -231,10 +226,8 @@ def run_scan(spec: ScanSpec) -> ScanTable:
     alphas = [complex(re, im) for im in im_values for re in re_values]
     rows = []
     for tau in spec.tau_list:
-        if spec.quantity is Quantity.ENTROPY:
-            rows.extend(_entropy_slice(spec, alphas, tau))
-        elif spec.quantity is Quantity.PHOTON_DIST:
-            rows.extend(_evaluate_cell(spec, alpha, tau) for alpha in alphas)
+        if spec.quantity in (Quantity.ENTROPY, Quantity.PHOTON_DIST):
+            rows.extend(_state_slice(spec, alphas, tau))
         else:
             rows.extend(_closed_slice(spec, alphas, tau))
     metadata = {

@@ -1,5 +1,10 @@
 """Noncommutative coherent and Schroedinger-cat states as Fock vectors.
 
+state_rows is the one place a normalized state is built: from a stack of
+coherent coefficient rows raw(alpha) it applies the cutoff tail check,
+forms the cat combination and renormalizes each row. Scans call it on
+whole tau slices; build_state (and build_coherent / build_cat) call it on
+one row and raise CutoffError where the row fails the tail check.
 States are always renormalized numerically after truncation; the closed
 first-order normalization constants are kept as metadata for cross-checks
 and are never used to scale the vector. Two coefficient modes exist:
@@ -182,18 +187,26 @@ def normalized_rows(raw: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return raw / np.sqrt(numeric)[..., None], numeric
 
 
-def state_rows(raw: np.ndarray, parity: int) -> tuple[np.ndarray, np.ndarray]:
-    """Batched build_state on coherent rows raw(alpha) of shape (cells, K).
+def state_rows(raw: np.ndarray, parity: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Normalized states from coherent rows raw(alpha) of shape (cells, K).
 
-    parity is StateFamily.parity. Returns the per-row tail mask (False
-    where build_coherent and build_cat raise CutoffError) and the
-    normalized vectors of the rows that pass it, in row order.
+    parity is StateFamily.parity. Returns the per-row tail mask (False where
+    the cutoff K is too small), then the normalized vectors and their norms
+    squared before renormalization, for the rows that pass it, in row order.
     """
     ok = tail_converged(raw)
     passed = raw[ok]
     if parity:
         passed = cat_combination(passed, parity)
-    return ok, normalized_rows(passed)[0]
+    return (ok, *normalized_rows(passed))
+
+
+def cutoff_error(alpha: complex, cutoff: int) -> CutoffError:
+    """The error for a cutoff that fails tail_converged, with a suggested cutoff."""
+    return CutoffError(
+        f"cutoff {cutoff} too small for alpha = {alpha}; "
+        f"suggested cutoff {max(default_cutoff(alpha), math.ceil(1.5 * cutoff))}"
+    )
 
 
 @dataclass(frozen=True)
@@ -205,9 +218,6 @@ class DeformedState:
     numeric_norm_sq: float  # before renormalization
     closed_norm_sq: float  # first-order closed form (metadata only)
     perturbative_warning: bool
-    validity: bool  # generalized-uncertainty validity flag (cats)
-    in_example_region: bool  # Im[alpha] - Re[alpha] >= 0.1
-    exact_mode: bool
 
     @property
     def cutoff(self) -> int:
@@ -222,35 +232,27 @@ class DeformedState:
         return self.kind.tau
 
 
-def _check_tail(raw: np.ndarray, alpha: complex, cutoff: int) -> None:
-    if not tail_converged(raw):
-        raise CutoffError(
-            f"cutoff {cutoff} too small for alpha = {alpha}; "
-            f"suggested cutoff {max(default_cutoff(alpha), math.ceil(1.5 * cutoff))}"
-        )
+def build_state(kind: StateKind, cutoff: int | None = None, exact: bool = False) -> DeformedState:
+    """Normalized state of a template: state_rows on its one coherent row.
 
-
-def _validity_flags(kind: StateKind) -> tuple[bool, bool]:
-    region = (kind.alpha.imag - kind.alpha.real) >= 0.1
-    if kind.family is StateFamily.COHERENT:
-        return True, region
-    from .observables import cat_validity_value  # deferred: observables imports states
-
-    return cat_validity_value(kind.alpha, kind.tau, kind.family.parity) >= 0.0, region
-
-
-def _finalize(raw: np.ndarray, kind: StateKind, closed: float, exact: bool) -> DeformedState:
-    vector, numeric = normalized_rows(raw)
-    valid, region = _validity_flags(kind)
+    cutoff None takes default_cutoff(alpha); a cutoff that fails the tail
+    check raises CutoffError with a suggested cutoff.
+    """
+    alpha, tau, parity = kind.alpha, kind.tau, kind.family.parity
+    cutoff = default_cutoff(alpha) if cutoff is None else cutoff
+    ok, vectors, numeric = state_rows(raw_coherent_coeffs(alpha, tau, cutoff, exact)[None], parity)
+    if not ok[0]:
+        raise cutoff_error(alpha, cutoff)
+    if parity:
+        closed = cat_norm_sq(alpha, tau, parity, strict=False)
+    else:
+        closed = coherent_norm_sq(alpha, tau, strict=False)
     return DeformedState(
-        vector=FockVector(vector),
+        vector=FockVector(vectors[0]),
         kind=kind,
-        numeric_norm_sq=float(numeric),
+        numeric_norm_sq=float(numeric[0]),
         closed_norm_sq=closed,
-        perturbative_warning=perturbative_warning_indicator(kind.alpha, kind.tau),
-        validity=valid,
-        in_example_region=region,
-        exact_mode=exact,
+        perturbative_warning=perturbative_warning_indicator(alpha, tau),
     )
 
 
@@ -263,11 +265,7 @@ def build_coherent(
     constant 24 tau/16, so the tau-corrected vacuum-limit state has a small
     |4> component of relative size 3 tau / (2 sqrt(24)).
     """
-    cutoff = default_cutoff(alpha) if cutoff is None else cutoff
-    raw = raw_coherent_coeffs(alpha, tau, cutoff, exact=exact)
-    _check_tail(raw, alpha, cutoff)
-    kind = StateKind(StateFamily.COHERENT, complex(alpha), tau)
-    return _finalize(raw, kind, coherent_norm_sq(alpha, tau, strict=False), exact)
+    return build_state(StateKind(StateFamily.COHERENT, complex(alpha), tau), cutoff, exact)
 
 
 def build_cat(
@@ -279,21 +277,5 @@ def build_cat(
     """
     if parity not in (+1, -1):
         raise ValueError("parity must be +1 or -1")
-    if parity == -1 and abs(alpha) < MIN_CAT_ODD_ALPHA:
-        raise DegenerateStateError(
-            f"odd cat state degenerates at |alpha| = {abs(alpha):.2e} < {MIN_CAT_ODD_ALPHA}"
-        )
-    cutoff = default_cutoff(alpha) if cutoff is None else cutoff
-    raw = raw_coherent_coeffs(alpha, tau, cutoff, exact=exact)
-    _check_tail(raw, alpha, cutoff)
     family = StateFamily.CAT_EVEN if parity == +1 else StateFamily.CAT_ODD
-    kind = StateKind(family, complex(alpha), tau)
-    closed = cat_norm_sq(alpha, tau, parity, strict=False)
-    return _finalize(cat_combination(raw, parity), kind, closed, exact)
-
-
-def build_state(kind: StateKind, cutoff: int | None = None, exact: bool = False) -> DeformedState:
-    """Dispatch on the state family."""
-    if kind.family is StateFamily.COHERENT:
-        return build_coherent(kind.alpha, kind.tau, cutoff, exact)
-    return build_cat(kind.alpha, kind.tau, kind.family.parity, cutoff, exact)
+    return build_state(StateKind(family, complex(alpha), tau), cutoff, exact)

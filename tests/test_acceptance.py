@@ -247,8 +247,8 @@ def test_criterion_9_cat_eigenstate_and_parity():
     alpha = 1.0 + 0.5j
     k = 40
     interior = k - fock.interior_margin(k)
-    a2 = deformation.deformed_lowering(0.0, k)
-    a2 = (a2 @ a2).mat
+    a = fock.ladder_lowering(k).mat  # the deformed A = a f(n) at tau = 0, where f = 1
+    a2 = a @ a
     worst_resid = 0.0
     worst_parity = 0.0
     for parity in (+1, -1):

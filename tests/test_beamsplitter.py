@@ -161,20 +161,10 @@ class TestLinearEntropy:
 
 
 class TestEntropyForKind:
-    def test_method_validation(self):
-        kind = StateKind(StateFamily.COHERENT, 1.0, 0.0)
-        with pytest.raises(ValueError):
-            bs.entropy_for_kind(kind, bs.SplitterParams(), method="magic")
-
-    def test_closed_only_for_coherent(self):
-        kind = StateKind(StateFamily.CAT_EVEN, 1.0, 0.0)
-        with pytest.raises(ValueError):
-            bs.entropy_for_kind(kind, bs.SplitterParams(), method="closed")
-
     def test_paths_agree_for_coherent(self):
         kind = StateKind(StateFamily.COHERENT, 1.0 + 0.5j, 0.0)
-        s1 = bs.entropy_for_kind(kind, bs.SplitterParams(), cutoff=40, method="oracle")
-        s2 = bs.entropy_for_kind(kind, bs.SplitterParams(), cutoff=40, method="closed")
+        s1 = bs.entropy_for_kind(kind, bs.SplitterParams(), cutoff=40)
+        s2 = bs.linear_entropy_closed(kind.alpha, kind.tau, bs.SplitterParams(), 40)
         assert s1 == pytest.approx(s2, abs=1e-8)
 
     def test_cats_entangle_even_at_tau_zero(self):

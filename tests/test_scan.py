@@ -148,6 +148,46 @@ def test_closed_scan_equals_one_cell_reference(quantity, family):
     assert len(nan_rows) == (4 if family is StateFamily.CAT_ODD else 0)
 
 
+def _ordinary_closed_value(quantity, alpha, parity):
+    """The tau = 0 value of a closed quantity: the ordinary-oscillator coherent and cat moments.
+
+    Written so that nothing overflows at large |alpha|: 2r / sinh(2r) as
+    4r e^(-2r) / (1 - e^(-4r)).
+    """
+    r = abs(alpha) ** 2
+    w = 2.0 * (alpha**2).real
+    spread = {0: 0.0, +1: r * math.tanh(r), -1: r / math.tanh(r)}[parity]
+    big_r = 0.5
+    u = w / 2.0 + spread if parity else 0.0
+    u_tilde = w / 2.0 - spread if parity else 0.0
+    var_y, var_z = big_r + u, big_r - u_tilde
+    return {
+        "R": big_r,
+        "U": u,
+        "U_tilde": u_tilde,
+        "varY": var_y,
+        "varZ": var_z,
+        "saturation_defect": var_y * var_z - big_r**2,
+        "mandel": parity * 4.0 * r * math.exp(-2.0 * r) / (1.0 - math.exp(-4.0 * r)),
+    }[quantity]
+
+
+@pytest.mark.parametrize("family", list(StateFamily))
+@pytest.mark.parametrize("quantity", CLOSED_QUANTITIES)
+def test_closed_scan_is_total_at_large_alpha(quantity, family):
+    # |alpha|^2 reaches 877, past every float overflow of cosh, sinh and exp
+    # in the cat forms (|alpha|^2 ~ 177, 355 and 710)
+    spec = _spec(quantity, family.value, (1.0, 29.0, 15), (0.0, 6.0, 3), (0.0, 0.01, 1.0))
+    rows = scan.run_scan(spec).rows
+    assert len(rows) == 15 * 3 * 3
+    assert all(math.isfinite(r.value) for r in rows)
+    for row in rows:
+        if row.tau == 0.0:
+            alpha = complex(row.re_alpha, row.im_alpha)
+            want = _ordinary_closed_value(quantity, alpha, family.parity)
+            assert abs(row.value - want) <= 1e-10 * (1.0 + abs(want)), (row, want)
+
+
 @pytest.mark.parametrize("family", list(StateFamily))
 @pytest.mark.parametrize("quantity", CLOSED_QUANTITIES)
 def test_closed_golden_byte_exact(quantity, family, tmp_path):
@@ -221,7 +261,7 @@ class TestBatchedEntropy:
 
 
 def _photon_reference_row(spec, alpha, tau):
-    """What the scan must give for one photon_dist cell, from photon_distribution(build_state(...))."""
+    """What the scan must give for one photon_dist cell, from the one-cell state path."""
     nan_row = scan.ScanRow(alpha.real, alpha.imag, tau, math.nan, False, False)
     if spec.family is StateFamily.CAT_ODD and abs(alpha) < MIN_CAT_ODD_ALPHA:
         return nan_row

@@ -143,11 +143,12 @@ def test_state_rows_match_build_state():
     alphas = [0.5, 1.0 + 1.0j, 2.0, 3.0 + 3.0j]
     raw = states.raw_coherent_coeffs(np.array(alphas), 0.05, 30, True)
     for family in StateFamily:
-        ok, vectors = states.state_rows(raw, family.parity)
+        ok, vectors, numeric = states.state_rows(raw, family.parity)
         assert ok.tolist() == [True, True, False, False]  # K = 30 is too small from |alpha| = 2
-        for alpha, vec in zip(alphas, vectors):
-            want = states.build_state(StateKind(family, alpha, 0.05), 30, True).vector.coeffs
-            assert np.array_equal(vec, want)
+        for alpha, vec, norm_sq in zip(alphas, vectors, numeric):
+            want = states.build_state(StateKind(family, alpha, 0.05), 30, True)
+            assert np.array_equal(vec, want.vector.coeffs)
+            assert norm_sq == want.numeric_norm_sq
         for alpha in alphas[2:]:
             with pytest.raises(CutoffError):
                 states.build_state(StateKind(family, alpha, 0.05), 30, True)
@@ -194,12 +195,10 @@ class TestBuildCoherent:
 
     def test_metadata_flags(self):
         st_ = states.build_coherent(0.5 + 1.0j, 1e-3)
-        assert st_.in_example_region  # Im - Re = 0.5 >= 0.1
         assert not st_.perturbative_warning
-        assert st_.validity
-        assert not states.build_coherent(1.0, 1e-3).in_example_region
-        assert not st_.exact_mode
-        assert states.build_coherent(1.0, 1e-3, exact=True).exact_mode
+        assert states.build_coherent(1.0, 1.0).perturbative_warning
+        assert st_.kind == StateKind(StateFamily.COHERENT, 0.5 + 1.0j, 1e-3)
+        assert st_.cutoff == states.default_cutoff(0.5 + 1.0j)
 
 
 class TestBuildCat:
@@ -241,12 +240,6 @@ class TestBuildCat:
                     ratio = cat.numeric_norm_sq / coh.numeric_norm_sq
                     defect = abs(ratio - cat.closed_norm_sq) / cat.closed_norm_sq
                     assert defect <= 2.0 * tau**2
-
-    def test_odd_cat_validity_flag_tracks_closed_value(self):
-        from ncqo.observables import cat_validity_value
-
-        kind_ok = states.build_cat(1.0 + 1.0j, 1e-3, -1)
-        assert kind_ok.validity == (cat_validity_value(1.0 + 1.0j, 1e-3, -1) >= 0.0)
 
 
 def test_build_state_dispatch():
