@@ -12,7 +12,6 @@ from .errors import (
     DimensionError,
     HermiticityError,
     NcqoError,
-    PerturbativeBreakdownError,
     SingularMetricError,
 )
 from .fock import FockVector, OperatorMatrix
@@ -26,7 +25,6 @@ __all__ = [
     "DimensionError",
     "HermiticityError",
     "SingularMetricError",
-    "PerturbativeBreakdownError",
     "DegenerateStateError",
     "CutoffError",
     "ConfigError",

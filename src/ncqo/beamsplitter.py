@@ -38,6 +38,7 @@ from .states import (
     cutoff_error,
     log_factorials,
     raw_coherent_coeffs,
+    require_normalized,
     tail_converged,
 )
 
@@ -96,16 +97,10 @@ def _amplitude_matrix(coeffs: np.ndarray, tables: tuple) -> np.ndarray:
     return amp
 
 
-def _check_normalized(coeffs: np.ndarray) -> None:
-    """Every row of (..., K) must have unit norm to within 1e-10."""
-    if not np.all(np.abs(np.sum(np.abs(coeffs) ** 2, axis=-1) - 1.0) <= 1e-10):
-        raise ValueError("split_state expects a normalized input")
-
-
 def split_state(state: DeformedState | FockVector, params: SplitterParams) -> np.ndarray:
     """Splitter output A[q, m] of a normalized input (x) vacuum, K x K for cutoff K."""
     vec = state.vector if isinstance(state, DeformedState) else state
-    _check_normalized(vec.coeffs)
+    require_normalized(vec.coeffs)
     return _amplitude_matrix(vec.coeffs, splitter_tables(vec.cutoff, params))
 
 
@@ -134,7 +129,7 @@ def linear_entropy_rows(vectors: np.ndarray, tables: tuple) -> np.ndarray:
     amplitude matrix, rho and purity, per row. tables come from
     splitter_tables at any cutoff >= K.
     """
-    _check_normalized(vectors)
+    require_normalized(vectors)
     return linear_entropy_oracle(reduced_density(_amplitude_matrix(vectors, tables)))
 
 
@@ -165,9 +160,9 @@ def linear_entropy_closed(
     """
     raw = raw_coherent_coeffs(alpha, tau, cutoff, exact=exact)
     if check_tail and not tail_converged(raw):
-        raise cutoff_error(alpha, cutoff)
+        raise cutoff_error(alpha, raw)
     rho = reduced_density(_amplitude_matrix(raw, splitter_tables(cutoff, params)))
-    n2 = coherent_norm_sq(alpha, tau, strict=False)
+    n2 = coherent_norm_sq(alpha, tau)
     return 1.0 - float(np.sum(np.abs(rho) ** 2)) / n2**2
 
 
@@ -190,7 +185,7 @@ def linear_entropy_quadruple(
             for k in range(cutoff)
         ]
     )
-    n2 = coherent_norm_sq(alpha, tau, strict=False)
+    n2 = coherent_norm_sq(alpha, tau)
     t2 = params.t**2
     r2 = abs(params.r) ** 2
     fact = [math.factorial(k) for k in range(cutoff)]

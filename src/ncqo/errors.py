@@ -17,10 +17,6 @@ class SingularMetricError(NcqoError, ValueError):
     """Operator has a non-positive eigenvalue where positivity is required."""
 
 
-class PerturbativeBreakdownError(NcqoError, ValueError):
-    """A first-order closed form left its validity region (non-positive norm)."""
-
-
 class DegenerateStateError(NcqoError, ValueError):
     """Requested state is degenerate (e.g. odd cat at alpha ~ 0)."""
 

@@ -20,6 +20,9 @@ import numpy as np
 from .errors import DimensionError, HermiticityError, SingularMetricError
 
 MAX_CUTOFF = 512
+# Largest hermiticity defect, relative to max(1, max |entry|), that
+# hermitian_eigendecomposition accepts.
+HERMITICITY_TOL = 1e-12
 
 
 def interior_margin(cutoff: int) -> int:
@@ -144,9 +147,7 @@ def expectation(op: OperatorMatrix, state: FockVector) -> complex:
     return complex(np.vdot(state.coeffs, op.mat @ state.coeffs))
 
 
-def hermitian_eigendecomposition(
-    op: OperatorMatrix, herm_tol: float = 1e-12
-) -> tuple[np.ndarray, OperatorMatrix]:
+def hermitian_eigendecomposition(op: OperatorMatrix) -> tuple[np.ndarray, OperatorMatrix]:
     """Eigenvalues (ascending) and unitary eigenvector matrix of a hermitian operator.
 
     The contract is the reconstruction quality, not the algorithm; LAPACK's
@@ -155,7 +156,7 @@ def hermitian_eigendecomposition(
     if op.cutoff > MAX_CUTOFF:
         raise DimensionError(f"cutoff {op.cutoff} exceeds supported maximum {MAX_CUTOFF}")
     scale = max(1.0, float(np.max(np.abs(op.mat))))
-    if op.hermiticity_defect() > herm_tol * scale:
+    if op.hermiticity_defect() > HERMITICITY_TOL * scale:
         raise HermiticityError(
             f"operator is not hermitian (defect {op.hermiticity_defect():.3e})"
         )

@@ -12,12 +12,13 @@ For every kind we report U = varY - R and U~ = R - varZ, so the
 generalized-uncertainty validity value R(U - U~) - U U~ coincides with
 varY * varZ - R^2 (the saturation defect).
 
-The closed quadrature forms go through one kernel per family, returning
-(R, U, U~): cat_closed_terms computes |alpha|^2, Re(alpha^2) and the
-hyperbolic functions once for all three, and cat_R, cat_U, cat_U_tilde,
-cat_validity_value and the closed cat moments all read from it.
-closed_quadrature_values turns (R, U, U~) into varY, varZ and the
-saturation defect, for the moment records and for grid scans alike.
+Every closed quadrature form goes through one kernel, closed_terms(alpha,
+tau, parity), which returns (R, U, U~) for the coherent state (parity 0,
+where U~ = U) and for the even (+1) and odd (-1) cats; quad_moments_closed,
+cat_validity_value and grid scans all read from it. closed_quadrature_values
+turns (R, U, U~) into varY, varZ and the saturation defect, for the moment
+records and for grid scans alike. Mandel Q has its one kernel too,
+closed_mandel_q(alpha, tau, parity), behind mandel_closed.
 
 The closed cat forms are total in |alpha|. A term divided by a growing
 hyperbolic or exponential factor (cosh^2 r, sinh^2 r, e^(2r), ...) takes
@@ -35,7 +36,7 @@ import numpy as np
 from .deformation import perturbed_eigenvector
 from .errors import DimensionError
 from .fock import FockVector, OperatorMatrix, expectation, quadratures
-from .states import DeformedState, StateFamily, StateKind
+from .states import DeformedState, StateKind, cat_norm_sq, coherent_norm_sq, require_normalized
 
 
 @dataclass(frozen=True)
@@ -81,61 +82,25 @@ def _vector_of(state: DeformedState | FockVector) -> FockVector:
 
 
 # ---------------------------------------------------------------------------
-# closed forms: coherent states
+# closed forms
 # ---------------------------------------------------------------------------
 
 
-def coherent_closed_terms(alpha: complex, tau: float) -> tuple[float, float, float]:
-    """(R, U, U~) of a coherent state, where U~ = U."""
-    a = complex(alpha)
-    r = abs(a) ** 2
-    d = ((a - a.conjugate()) ** 2).real  # (alpha - alpha*)^2, real and <= 0
-    u = tau * (0.25 + r / 2.0)
-    return (2.0 + tau - tau * d) / 4.0, u, u
+def closed_terms(alpha: complex, tau: float, parity: int) -> tuple[float, float, float]:
+    """(R, U, U~) of the coherent state (parity = 0), the even (+1) or the odd (-1) cat.
 
-
-def _coherent_closed(alpha: complex, tau: float) -> QuadratureMoments:
-    a = complex(alpha)
-    ac = a.conjugate()
-    r = abs(a) ** 2
-    d = ((a - ac) ** 2).real
-    s = ((a + ac) ** 2).real
-    w = (a**2 + ac**2).real
-    w4 = (a**4 + ac**4).real
-    mean_y = ((a + ac) * (4.0 - tau * d)).real / (4.0 * math.sqrt(2.0))
-    mean_z = (1j * (a - ac) * (2.0 * tau + tau * s - 4.0)).real / (4.0 * math.sqrt(2.0))
-    mean_y2 = (2.0 + 2.0 * s - tau * (w + w4 - 4.0 * r - 2.0 * r**2 - 2.0)) / 4.0
-    mean_z2 = (2.0 - 2.0 * d + tau * (w + w4 - 4.0 * r - 2.0 * r**2)) / 4.0
-    big_r, u, ut, var_y, var_z, defect = closed_quadrature_values(*coherent_closed_terms(a, tau))
-    return QuadratureMoments(
-        mean_Y=mean_y,
-        mean_Z=mean_z,
-        mean_Y2=mean_y2,
-        mean_Z2=mean_z2,
-        var_Y=var_y,
-        var_Z=var_z,
-        R=big_r,
-        U=u,
-        U_tilde=ut,
-        saturation_defect=defect,
-    )
-
-
-# ---------------------------------------------------------------------------
-# closed forms: cat states
-# ---------------------------------------------------------------------------
-
-
-def cat_closed_terms(alpha: complex, tau: float, parity: int) -> tuple[float, float, float]:
-    """(R_±, U_±, U~_±) of the even (parity = +1) or odd (parity = -1) cat.
-
-    The one kernel behind cat_R, cat_U, cat_U_tilde, cat_validity_value and
-    the closed cat moments: |alpha|^2, w = 2 Re(alpha^2),
-    v = (alpha^2 - alpha*^2)^2 and the hyperbolic functions are computed once.
+    The one kernel behind every closed quadrature value: |alpha|^2,
+    w = 2 Re(alpha^2), v = (alpha^2 - alpha*^2)^2 and the hyperbolic
+    functions are computed once for all three terms. For the coherent
+    state U~ = U.
     """
     a = complex(alpha)
     ac = a.conjugate()
     r = abs(a) ** 2
+    if parity == 0:
+        d = ((a - ac) ** 2).real  # (alpha - alpha*)^2, real and <= 0
+        u = tau * (0.25 + r / 2.0)
+        return (2.0 + tau - tau * d) / 4.0, u, u
     a2 = a**2
     ac2 = ac**2
     w = (a2 + ac2).real
@@ -180,21 +145,6 @@ def cat_closed_terms(alpha: complex, tau: float, parity: int) -> tuple[float, fl
     return big_r, u, u_tilde
 
 
-def cat_R(alpha: complex, tau: float, parity: int) -> float:
-    """Right-hand side R_± of the generalized uncertainty relation."""
-    return cat_closed_terms(alpha, tau, parity)[0]
-
-
-def cat_U(alpha: complex, tau: float, parity: int) -> float:
-    """Quadrature-Y expansion term U_±: varY_± = R_± + U_±."""
-    return cat_closed_terms(alpha, tau, parity)[1]
-
-
-def cat_U_tilde(alpha: complex, tau: float, parity: int) -> float:
-    """Quadrature-Z squeezing term U~_±: varZ_± = R_± - U~_±."""
-    return cat_closed_terms(alpha, tau, parity)[2]
-
-
 # What closed_quadrature_values returns, by scan quantity name.
 CLOSED_QUADRATURE_NAMES = ("R", "U", "U_tilde", "varY", "varZ", "saturation_defect")
 
@@ -218,7 +168,7 @@ def validity_value(big_r: float, u: float, u_tilde: float) -> float:
 
 def cat_validity_value(alpha: complex, tau: float, parity: int) -> float:
     """R_±(U_± - U~_±) - U_± U~_±; the uncertainty relation is valid if >= 0."""
-    return validity_value(*cat_closed_terms(alpha, tau, parity))
+    return validity_value(*closed_terms(alpha, tau, parity))
 
 
 def cat_second_moments_raw(alpha: complex, tau: float, parity: int) -> tuple[float, float]:
@@ -227,8 +177,6 @@ def cat_second_moments_raw(alpha: complex, tau: float, parity: int) -> tuple[flo
     Agrees with (R_± + U_±, R_± - U~_±) exactly at tau = 0 and to O(tau^2)
     otherwise (the normalization denominator is expanded in the R/U forms).
     """
-    from .states import cat_norm_sq, coherent_norm_sq
-
     a = complex(alpha)
     ac = a.conjugate()
     r = abs(a) ** 2
@@ -246,21 +194,38 @@ def cat_second_moments_raw(alpha: complex, tau: float, parity: int) -> tuple[flo
     m2m = math.exp(-r) / 4.0 * (
         8.0 - 2.0 * mu_p + tau * (mu_p - 2.0 + 2.0 * v + lam_m + 8.0 * r - 10.0 * r**2 + 4.0 * r**3)
     )
-    nhat = coherent_norm_sq(alpha, tau, strict=False) * cat_norm_sq(
-        alpha, tau, parity, strict=False
-    )
+    nhat = coherent_norm_sq(alpha, tau) * cat_norm_sq(alpha, tau, parity)
     return (m1p + parity * m1m) / nhat, (m2p + parity * m2m) / nhat
 
 
-def _cat_closed(alpha: complex, tau: float, parity: int) -> QuadratureMoments:
+def quad_moments_closed(kind: StateKind) -> QuadratureMoments:
+    """Closed first-order quadrature moments for a state template.
+
+    The cat means vanish, so their second moments are the variances; only
+    the coherent means have a closed form of their own.
+    """
+    alpha, tau, parity = kind.alpha, kind.tau, kind.family.parity
     big_r, u, ut, var_y, var_z, defect = closed_quadrature_values(
-        *cat_closed_terms(alpha, tau, parity)
+        *closed_terms(alpha, tau, parity)
     )
+    mean_y, mean_z, mean_y2, mean_z2 = 0.0, 0.0, var_y, var_z
+    if parity == 0:
+        a = complex(alpha)
+        ac = a.conjugate()
+        r = abs(a) ** 2
+        d = ((a - ac) ** 2).real
+        s = ((a + ac) ** 2).real
+        w = (a**2 + ac**2).real
+        w4 = (a**4 + ac**4).real
+        mean_y = ((a + ac) * (4.0 - tau * d)).real / (4.0 * math.sqrt(2.0))
+        mean_z = (1j * (a - ac) * (2.0 * tau + tau * s - 4.0)).real / (4.0 * math.sqrt(2.0))
+        mean_y2 = (2.0 + 2.0 * s - tau * (w + w4 - 4.0 * r - 2.0 * r**2 - 2.0)) / 4.0
+        mean_z2 = (2.0 - 2.0 * d + tau * (w + w4 - 4.0 * r - 2.0 * r**2)) / 4.0
     return QuadratureMoments(
-        mean_Y=0.0,
-        mean_Z=0.0,
-        mean_Y2=var_y,
-        mean_Z2=var_z,
+        mean_Y=mean_y,
+        mean_Z=mean_z,
+        mean_Y2=mean_y2,
+        mean_Z2=mean_z2,
         var_Y=var_y,
         var_Z=var_z,
         R=big_r,
@@ -268,13 +233,6 @@ def _cat_closed(alpha: complex, tau: float, parity: int) -> QuadratureMoments:
         U_tilde=ut,
         saturation_defect=defect,
     )
-
-
-def quad_moments_closed(kind: StateKind) -> QuadratureMoments:
-    """Closed first-order quadrature moments for a state template."""
-    if kind.family is StateFamily.COHERENT:
-        return _coherent_closed(kind.alpha, kind.tau)
-    return _cat_closed(kind.alpha, kind.tau, kind.family.parity)
 
 
 def quad_moments_oracle(state: DeformedState | FockVector, tau: float) -> QuadratureMoments:
@@ -343,54 +301,34 @@ def closed_mandel_q(alpha: complex, tau: float, parity: int) -> float:
         return -(r / 2.0) * (tau * th)
 
 
-def _coherent_mandel(alpha: complex, tau: float) -> NumberMoments:
-    r = abs(alpha) ** 2
-    mean_n = r - tau * r / 2.0 * (2.0 + r)
-    mean_n2 = r + r**2 - tau * r * (1.0 + 3.0 * r + r**2)
-    return NumberMoments(
-        mean_N=mean_n,
-        mean_N2=mean_n2,
-        var_N=mean_n2 - mean_n**2,
-        mandel_Q=closed_mandel_q(alpha, tau, 0),
-    )
-
-
-def _cat_even_mandel(alpha: complex, tau: float) -> NumberMoments:
-    r = abs(alpha) ** 2
-    th = math.tanh(r)
-    mean_n = (1.0 - tau) * r * th + tau * r**2 * (th**2 - 1.5)
-    mean_n2 = r**2 + (1.0 - tau - tau * r**2) * r * th + tau * r**2 * (th**2 - 4.0)
-    return NumberMoments(
-        mean_N=mean_n,
-        mean_N2=mean_n2,
-        var_N=mean_n2 - mean_n**2,
-        mandel_Q=closed_mandel_q(alpha, tau, +1),
-    )
-
-
-def _cat_odd_mandel(alpha: complex, tau: float) -> NumberMoments:
-    # Only Q_- has a closed form; the intermediate moments are only
-    # available through the oracle, so they are reported as NaN here.
-    nan = float("nan")
-    return NumberMoments(
-        mean_N=nan, mean_N2=nan, var_N=nan, mandel_Q=closed_mandel_q(alpha, tau, -1)
-    )
-
-
 def mandel_closed(kind: StateKind) -> NumberMoments:
     """Closed first-order photon-number moments and Mandel Q.
 
     mandel_Q carries the first-order closed form (exactly -tau |alpha|^2 / 2 for
     coherent states); var_N is always the moment-consistent
-    mean_N2 - mean_N^2, which differs from Q's numerator at O(tau^2).
+    mean_N2 - mean_N^2, which differs from Q's numerator at O(tau^2). Only
+    Q_- has a closed form for the odd cat; its moments are available
+    through the oracle alone and are reported as NaN.
     """
-    if abs(kind.alpha) ** 2 == 0.0:
+    alpha, tau, parity = kind.alpha, kind.tau, kind.family.parity
+    r = abs(alpha) ** 2
+    if r == 0.0:
         return NumberMoments(0.0, 0.0, 0.0, 0.0, flagged=True)
-    if kind.family is StateFamily.COHERENT:
-        return _coherent_mandel(kind.alpha, kind.tau)
-    if kind.family is StateFamily.CAT_EVEN:
-        return _cat_even_mandel(kind.alpha, kind.tau)
-    return _cat_odd_mandel(kind.alpha, kind.tau)
+    if parity == 0:
+        mean_n = r - tau * r / 2.0 * (2.0 + r)
+        mean_n2 = r + r**2 - tau * r * (1.0 + 3.0 * r + r**2)
+    elif parity == +1:
+        th = math.tanh(r)
+        mean_n = (1.0 - tau) * r * th + tau * r**2 * (th**2 - 1.5)
+        mean_n2 = r**2 + (1.0 - tau - tau * r**2) * r * th + tau * r**2 * (th**2 - 4.0)
+    else:
+        mean_n = mean_n2 = math.nan
+    return NumberMoments(
+        mean_N=mean_n,
+        mean_N2=mean_n2,
+        var_N=mean_n2 - mean_n**2,
+        mandel_Q=closed_mandel_q(alpha, tau, parity),
+    )
 
 
 def mandel_oracle(state: DeformedState | FockVector, tau: float) -> NumberMoments:
@@ -426,14 +364,9 @@ def mandel_oracle(state: DeformedState | FockVector, tau: float) -> NumberMoment
 
 
 def photon_distribution_rows(coeffs: np.ndarray) -> np.ndarray:
-    """P(n) = |c_n|^2 for each normalized state row of (..., K).
-
-    Every row must sum to 1 within 1e-10.
-    """
-    probs = np.abs(coeffs) ** 2
-    if not np.all(np.abs(np.sum(probs, axis=-1) - 1.0) <= 1e-10):
-        raise ValueError("photon_distribution expects a normalized state")
-    return probs
+    """P(n) = |c_n|^2 for each normalized state row of (..., K) (states.require_normalized)."""
+    require_normalized(coeffs)
+    return np.abs(coeffs) ** 2
 
 
 def photon_distribution(state: DeformedState | FockVector) -> np.ndarray:

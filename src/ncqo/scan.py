@@ -6,11 +6,10 @@ one tau slice at a time, on one of two paths:
 
 * Closed-form quantities: the family's parity and the quantity's place
   among (R, U, U~, varY, varZ, saturation defect) are fixed once per
-  slice, and each cell makes one call into the closed forms
-  (observables.cat_closed_terms for cats, coherent_closed_terms for
-  coherent states, closed_mandel_q for Mandel Q). A cat cell takes its
-  value and its valid flag from the same (R, U, U~), so every bit equals
-  the one-cell quad_moments_closed / mandel_closed and cat_validity_value.
+  slice, and each cell makes one call to observables.closed_terms with
+  that parity (plus closed_mandel_q for Mandel Q). A cell takes its value
+  and its valid flag from the same (R, U, U~), so every bit equals the
+  one-cell quad_moments_closed / mandel_closed and cat_validity_value.
 * State quantities (entropy, photon_dist): the slice's coherent
   coefficient rows are built once at its largest cutoff, the cells that
   share a cutoff K are turned into normalized states by states.state_rows,
@@ -20,10 +19,13 @@ one tau slice at a time, on one of two paths:
   Every cell gets the same bits as the one-cell build_state followed by
   beamsplitter.entropy_for_kind or observables.photon_distribution.
 
-Cells that violate a state precondition (the odd cat at alpha ~ 0) or fail
-the cutoff tail check carry a NaN sentinel and valid = warn = False instead
-of aborting the scan. CSV rows are written with one printf-style format,
-floats at 17 significant digits.
+Every cell's valid flag follows one rule, written in _closed_slice: a
+coherent cell is always valid, a cat cell is valid where
+R(U - U~) - U U~ >= 0; a state cell takes the flags of its closed cell.
+Cells that violate a state precondition (the odd cat at alpha ~ 0), fail
+the cutoff tail check or whose coefficients overflow carry a NaN sentinel
+and valid = warn = False instead of aborting the scan. CSV rows are
+written with one printf-style format, floats at 17 significant digits.
 """
 
 from __future__ import annotations
@@ -40,11 +42,9 @@ from .beamsplitter import SplitterParams, linear_entropy_rows, splitter_tables
 from .errors import ConfigError
 from .observables import (
     CLOSED_QUADRATURE_NAMES,
-    cat_closed_terms,
-    cat_validity_value,
     closed_mandel_q,
     closed_quadrature_values,
-    coherent_closed_terms,
+    closed_terms,
     photon_distribution_rows,
     validity_value,
 )
@@ -140,14 +140,6 @@ class ScanTable:
     metadata: dict = field(default_factory=dict)
 
 
-def _cell_flags(spec: ScanSpec, alpha: complex, tau: float) -> tuple[bool, bool]:
-    warn = perturbative_warning_indicator(alpha, tau)
-    if spec.family is StateFamily.COHERENT:
-        return True, warn
-    valid = cat_validity_value(alpha, tau, spec.family.parity) >= 0.0
-    return valid, warn
-
-
 def _nan_row(alpha: complex, tau: float) -> ScanRow:
     return ScanRow(alpha.real, alpha.imag, tau, float("nan"), False, False)
 
@@ -156,39 +148,40 @@ def _degenerate(spec: ScanSpec, alpha: complex) -> bool:
     return spec.family is StateFamily.CAT_ODD and abs(alpha) < MIN_CAT_ODD_ALPHA
 
 
-def _closed_slice(spec: ScanSpec, alphas: list, tau: float) -> list:
-    """The closed-form rows of one tau slice, one call into the closed forms per cell.
+def _closed_slice(spec: ScanSpec, alphas: list, tau: float, index: int | None) -> list:
+    """The closed-form rows of one tau slice, at most one closed_terms call per cell.
 
-    A cat cell takes its value and its valid flag from the same (R, U, U~)
-    of observables.cat_closed_terms; a coherent cell is always valid.
+    The value is closed_quadrature_values(R, U, U~)[index], or Mandel Q
+    where index is None. The valid flag follows one rule for every
+    quantity: a coherent cell is always valid, a cat cell is valid where
+    R(U - U~) - U U~ >= 0, from the same (R, U, U~) as its value.
     """
     parity = spec.family.parity
-    mandel = spec.quantity is Quantity.MANDEL
-    index = None if mandel else CLOSED_QUADRATURE_NAMES.index(spec.quantity.value)
     rows = []
     for alpha in alphas:
         if _degenerate(spec, alpha):
             rows.append(_nan_row(alpha, tau))
             continue
-        valid = True
-        if parity:
-            terms = cat_closed_terms(alpha, tau, parity)
-            valid = validity_value(*terms) >= 0.0
-        elif not mandel:
-            terms = coherent_closed_terms(alpha, tau)
-        if mandel:
+        # a coherent Mandel cell needs neither a quadrature value nor a validity value
+        terms = closed_terms(alpha, tau, parity) if parity or index is not None else None
+        if index is None:
             value = closed_mandel_q(alpha, tau, parity)
         else:
             value = closed_quadrature_values(*terms)[index]
+        valid = parity == 0 or validity_value(*terms) >= 0.0
         warn = perturbative_warning_indicator(alpha, tau)
         rows.append(ScanRow(alpha.real, alpha.imag, tau, value, valid, warn))
     return rows
 
 
 def _state_slice(spec: ScanSpec, alphas: list, tau: float) -> list:
-    """The entropy or photon_dist rows of one tau slice, by cutoff group and chunk."""
+    """The entropy or photon_dist rows of one tau slice, by cutoff group and chunk.
+
+    Each cell's valid and warn flags are those of its closed R cell.
+    """
+    parity = spec.family.parity
+    closed = _closed_slice(spec, alphas, tau, CLOSED_QUADRATURE_NAMES.index("R"))
     live = [i for i, alpha in enumerate(alphas) if not _degenerate(spec, alpha)]
-    flags = {i: _cell_flags(spec, alphas[i], tau) for i in live}
     values = {}
     if live:
         cutoffs = np.array(
@@ -203,7 +196,7 @@ def _state_slice(spec: ScanSpec, alphas: list, tau: float) -> list:
             step = max(1, STATE_CHUNK_ENTRIES // (k * k))
             for start in range(0, group.size, step):
                 chunk = group[start : start + step]
-                ok, vectors, _ = state_rows(raw[chunk, :k], spec.family.parity)
+                ok, vectors, _ = state_rows(raw[chunk, :k], parity)
                 if entropy:
                     out = linear_entropy_rows(vectors, tables)
                 else:
@@ -211,9 +204,9 @@ def _state_slice(spec: ScanSpec, alphas: list, tau: float) -> list:
                     out = probs[:, spec.fock_n] if spec.fock_n < k else np.zeros(len(probs))
                 values.update(zip((live[j] for j in chunk[ok]), out.tolist()))
     rows = []
-    for i, alpha in enumerate(alphas):
+    for i, (alpha, cell) in enumerate(zip(alphas, closed)):
         if i in values:
-            rows.append(ScanRow(alpha.real, alpha.imag, tau, values[i], *flags[i]))
+            rows.append(ScanRow(alpha.real, alpha.imag, tau, values[i], cell.valid, cell.warn))
         else:
             rows.append(_nan_row(alpha, tau))
     return rows
@@ -228,8 +221,11 @@ def run_scan(spec: ScanSpec) -> ScanTable:
     for tau in spec.tau_list:
         if spec.quantity in (Quantity.ENTROPY, Quantity.PHOTON_DIST):
             rows.extend(_state_slice(spec, alphas, tau))
+        elif spec.quantity is Quantity.MANDEL:
+            rows.extend(_closed_slice(spec, alphas, tau, None))
         else:
-            rows.extend(_closed_slice(spec, alphas, tau))
+            index = CLOSED_QUADRATURE_NAMES.index(spec.quantity.value)
+            rows.extend(_closed_slice(spec, alphas, tau, index))
     metadata = {
         "quantity": spec.quantity.value,
         "kind": spec.family.value,

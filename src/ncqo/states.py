@@ -4,7 +4,8 @@ state_rows is the one place a normalized state is built: from a stack of
 coherent coefficient rows raw(alpha) it applies the cutoff tail check,
 forms the cat combination and renormalizes each row. Scans call it on
 whole tau slices; build_state (and build_coherent / build_cat) call it on
-one row and raise CutoffError where the row fails the tail check.
+one row and raise CutoffError where the row fails the tail check (NcqoError
+where its coefficients overflowed).
 States are always renormalized numerically after truncation; the closed
 first-order normalization constants are kept as metadata for cross-checks
 and are never used to scale the vector. Two coefficient modes exist:
@@ -23,7 +24,7 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import CutoffError, DegenerateStateError, PerturbativeBreakdownError
+from .errors import CutoffError, DegenerateStateError, NcqoError
 from .fock import FockVector
 
 MIN_CAT_ODD_ALPHA = 1e-3
@@ -58,23 +59,18 @@ class StateKind:
             )
 
 
-def coherent_norm_sq(alpha: complex, tau: float, strict: bool = True) -> float:
+def coherent_norm_sq(alpha: complex, tau: float) -> float:
     """Closed first-order N^2(alpha, f) = e^{|a|^2} (1 - tau|a|^2 - tau|a|^4/4).
 
-    With strict=True a non-positive value raises PerturbativeBreakdownError;
-    strict=False returns the (possibly non-positive) value so callers that
-    keep it as metadata only can still proceed.
+    Past the first-order validity region the value is non-positive; it is
+    returned as it is, since callers keep it as metadata or as a closed
+    denominator.
     """
     r = abs(alpha) ** 2
-    val = math.exp(r) * (1.0 - tau * r - tau * r**2 / 4.0)
-    if strict and val <= 0.0:
-        raise PerturbativeBreakdownError(
-            f"closed coherent norm non-positive at |alpha| = {abs(alpha):.4g}, tau = {tau:.4g}"
-        )
-    return val
+    return math.exp(r) * (1.0 - tau * r - tau * r**2 / 4.0)
 
 
-def cat_norm_sq(alpha: complex, tau: float, parity: int, strict: bool = True) -> float:
+def cat_norm_sq(alpha: complex, tau: float, parity: int) -> float:
     """Closed first-order N^2(alpha, f)_± of the even/odd cat states."""
     if parity not in (+1, -1):
         raise ValueError("parity must be +1 or -1")
@@ -83,13 +79,8 @@ def cat_norm_sq(alpha: complex, tau: float, parity: int, strict: bool = True) ->
             f"odd cat norm degenerates at |alpha| = {abs(alpha):.2e} < {MIN_CAT_ODD_ALPHA}"
         )
     r = abs(alpha) ** 2
-    n2 = coherent_norm_sq(alpha, tau, strict=strict)
-    val = 2.0 + parity * (math.exp(-r) / (2.0 * n2)) * (4.0 + 4.0 * tau * r - tau * r**2)
-    if strict and val <= 0.0:
-        raise PerturbativeBreakdownError(
-            f"closed cat norm non-positive at |alpha| = {abs(alpha):.4g}, tau = {tau:.4g}"
-        )
-    return val
+    n2 = coherent_norm_sq(alpha, tau)
+    return 2.0 + parity * (math.exp(-r) / (2.0 * n2)) * (4.0 + 4.0 * tau * r - tau * r**2)
 
 
 def default_cutoff(alpha: complex) -> int:
@@ -163,10 +154,14 @@ def raw_coherent_coeffs(alpha, tau: float, cutoff: int, exact: bool = False) -> 
 
 
 def tail_converged(raw: np.ndarray) -> np.ndarray:
-    """Per row of (..., K): the top four levels hold at most TAIL_PROBABILITY of the weight."""
+    """Per row of (..., K): the top four levels hold at most TAIL_PROBABILITY of the weight.
+
+    A row whose total weight is not finite (its coefficients overflowed)
+    or is zero fails.
+    """
     total = np.sum(np.abs(raw) ** 2, axis=-1)
     tail = np.sum(np.abs(raw[..., -4:]) ** 2, axis=-1)
-    return (total != 0.0) & ~(tail > TAIL_PROBABILITY * total)
+    return np.isfinite(total) & (total != 0.0) & ~(tail > TAIL_PROBABILITY * total)
 
 
 def cat_combination(raw: np.ndarray, parity: int) -> np.ndarray:
@@ -187,6 +182,12 @@ def normalized_rows(raw: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return raw / np.sqrt(numeric)[..., None], numeric
 
 
+def require_normalized(rows: np.ndarray) -> None:
+    """Raise ValueError unless every state row of (..., K) has unit norm within 1e-10."""
+    if not np.all(np.abs(np.sum(np.abs(rows) ** 2, axis=-1) - 1.0) <= 1e-10):
+        raise ValueError("expected normalized state rows (unit norm within 1e-10)")
+
+
 def state_rows(raw: np.ndarray, parity: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Normalized states from coherent rows raw(alpha) of shape (cells, K).
 
@@ -201,8 +202,18 @@ def state_rows(raw: np.ndarray, parity: int) -> tuple[np.ndarray, np.ndarray, np
     return (ok, *normalized_rows(passed))
 
 
-def cutoff_error(alpha: complex, cutoff: int) -> CutoffError:
-    """The error for a cutoff that fails tail_converged, with a suggested cutoff."""
+def cutoff_error(alpha: complex, raw: np.ndarray) -> NcqoError:
+    """The error for a coefficient row raw(alpha) that fails tail_converged.
+
+    Where the coefficients overflowed no cutoff helps, and the error says
+    so; otherwise it is a CutoffError with a suggested cutoff.
+    """
+    cutoff = raw.shape[-1]
+    if not np.all(np.isfinite(raw)):
+        return NcqoError(
+            f"coherent coefficients overflowed at alpha = {alpha}, cutoff {cutoff}: "
+            "|alpha| is too large for the coefficient table"
+        )
     return CutoffError(
         f"cutoff {cutoff} too small for alpha = {alpha}; "
         f"suggested cutoff {max(default_cutoff(alpha), math.ceil(1.5 * cutoff))}"
@@ -236,17 +247,16 @@ def build_state(kind: StateKind, cutoff: int | None = None, exact: bool = False)
     """Normalized state of a template: state_rows on its one coherent row.
 
     cutoff None takes default_cutoff(alpha); a cutoff that fails the tail
-    check raises CutoffError with a suggested cutoff.
+    check raises CutoffError with a suggested cutoff, and coefficients that
+    overflow raise NcqoError (see cutoff_error).
     """
     alpha, tau, parity = kind.alpha, kind.tau, kind.family.parity
     cutoff = default_cutoff(alpha) if cutoff is None else cutoff
-    ok, vectors, numeric = state_rows(raw_coherent_coeffs(alpha, tau, cutoff, exact)[None], parity)
+    raw = raw_coherent_coeffs(alpha, tau, cutoff, exact)
+    ok, vectors, numeric = state_rows(raw[None], parity)
     if not ok[0]:
-        raise cutoff_error(alpha, cutoff)
-    if parity:
-        closed = cat_norm_sq(alpha, tau, parity, strict=False)
-    else:
-        closed = coherent_norm_sq(alpha, tau, strict=False)
+        raise cutoff_error(alpha, raw)
+    closed = cat_norm_sq(alpha, tau, parity) if parity else coherent_norm_sq(alpha, tau)
     return DeformedState(
         vector=FockVector(vectors[0]),
         kind=kind,

@@ -23,8 +23,7 @@ from ncqo.beamsplitter import (
     split_state,
 )
 from ncqo.observables import (
-    cat_U,
-    cat_U_tilde,
+    closed_terms,
     mandel_closed,
     mandel_oracle,
     quad_moments_closed,
@@ -108,12 +107,14 @@ def test_criterion_5_ordinary_cat_limits():
     for alpha in alphas:
         r = abs(alpha) ** 2
         w = (alpha**2 + np.conj(alpha) ** 2).real
+        _, u_even, ut_even = closed_terms(alpha, 0.0, +1)
+        _, u_odd, ut_odd = closed_terms(alpha, 0.0, -1)
         worst = max(
             worst,
-            abs(cat_U(alpha, 0.0, +1) - (w / 2 + r * math.tanh(r))),
-            abs(cat_U(alpha, 0.0, -1) - (w / 2 + r / math.tanh(r))),
-            abs(cat_U_tilde(alpha, 0.0, +1) - (w / 2 - r * math.tanh(r))),
-            abs(cat_U_tilde(alpha, 0.0, -1) - (w / 2 - r / math.tanh(r))),
+            abs(u_even - (w / 2 + r * math.tanh(r))),
+            abs(u_odd - (w / 2 + r / math.tanh(r))),
+            abs(ut_even - (w / 2 - r * math.tanh(r))),
+            abs(ut_odd - (w / 2 - r / math.tanh(r))),
         )
         q_ho = 2.0 * r / math.sinh(2.0 * r)
         q_even = mandel_closed(StateKind(StateFamily.CAT_EVEN, alpha, 0.0)).mandel_Q
@@ -134,7 +135,7 @@ def test_criterion_6_figure_level_claims():
 
     start = time.perf_counter()
     min_ut = min(
-        cat_U_tilde(complex(g, d), 5.0, +1) for g in grid for d in grid
+        closed_terms(complex(g, d), 5.0, +1)[2] for g in grid for d in grid
     )
     ok_a = min_ut > 0
     _report(
@@ -143,7 +144,7 @@ def test_criterion_6_figure_level_claims():
         f"even-cat U~ at tau=5 positive on [0.9,3]^2, min {min_ut:.3f} (> 0)",
     )
 
-    min_ho = min(cat_U_tilde(complex(g, d), 0.0, +1) for g in grid for d in grid)
+    min_ho = min(closed_terms(complex(g, d), 0.0, +1)[2] for g in grid for d in grid)
     _report(
         "6b",
         min_ho < 0,

@@ -63,19 +63,19 @@ class TestCatClosed:
         alpha = 1.3 + 0.4j
         r = abs(alpha) ** 2
         w = (alpha**2 + alpha.conjugate() ** 2).real
-        assert obs.cat_R(alpha, 0.0, +1) == pytest.approx(0.5)
-        assert obs.cat_R(alpha, 0.0, -1) == pytest.approx(0.5)
-        assert obs.cat_U(alpha, 0.0, +1) == pytest.approx(w / 2 + r * math.tanh(r))
-        assert obs.cat_U(alpha, 0.0, -1) == pytest.approx(w / 2 + r / math.tanh(r))
-        assert obs.cat_U_tilde(alpha, 0.0, +1) == pytest.approx(w / 2 - r * math.tanh(r))
-        assert obs.cat_U_tilde(alpha, 0.0, -1) == pytest.approx(w / 2 - r / math.tanh(r))
+        r_even, u_even, ut_even = obs.closed_terms(alpha, 0.0, +1)
+        r_odd, u_odd, ut_odd = obs.closed_terms(alpha, 0.0, -1)
+        assert r_even == pytest.approx(0.5)
+        assert r_odd == pytest.approx(0.5)
+        assert u_even == pytest.approx(w / 2 + r * math.tanh(r))
+        assert u_odd == pytest.approx(w / 2 + r / math.tanh(r))
+        assert ut_even == pytest.approx(w / 2 - r * math.tanh(r))
+        assert ut_odd == pytest.approx(w / 2 - r / math.tanh(r))
 
     def test_validity_value_matches_flag_combination(self):
         alpha, tau = 0.9 + 1.2j, 0.05
         for parity in (+1, -1):
-            r = obs.cat_R(alpha, tau, parity)
-            u = obs.cat_U(alpha, tau, parity)
-            ut = obs.cat_U_tilde(alpha, tau, parity)
+            r, u, ut = obs.closed_terms(alpha, tau, parity)
             val = obs.cat_validity_value(alpha, tau, parity)
             assert val == pytest.approx(r * (u - ut) - u * ut)
             # same number as varY varZ - R^2 of the assembled moments
@@ -86,8 +86,9 @@ class TestCatClosed:
         alpha = 1.1 - 0.6j
         for parity in (+1, -1):
             m1, m2 = obs.cat_second_moments_raw(alpha, 0.0, parity)
-            assert m1 == pytest.approx(obs.cat_R(alpha, 0.0, parity) + obs.cat_U(alpha, 0.0, parity), abs=1e-12)
-            assert m2 == pytest.approx(obs.cat_R(alpha, 0.0, parity) - obs.cat_U_tilde(alpha, 0.0, parity), abs=1e-12)
+            r, u, ut = obs.closed_terms(alpha, 0.0, parity)
+            assert m1 == pytest.approx(r + u, abs=1e-12)
+            assert m2 == pytest.approx(r - ut, abs=1e-12)
 
     def test_raw_second_moments_quadratically_close(self):
         # the raw (M1, M2) form keeps the norm in the denominator, the R/U
@@ -97,7 +98,8 @@ class TestCatClosed:
             defects = []
             for tau in (1e-3, 1e-2):
                 m1, _ = obs.cat_second_moments_raw(alpha, tau, parity)
-                expanded = obs.cat_R(alpha, tau, parity) + obs.cat_U(alpha, tau, parity)
+                r, u, _ = obs.closed_terms(alpha, tau, parity)
+                expanded = r + u
                 defects.append(abs(m1 - expanded))
             assert 50 <= defects[1] / defects[0] <= 200
 
@@ -130,7 +132,7 @@ class TestQuadOracle:
                 id="StateFamily.CAT_ODD-alpha=1",
                 marks=pytest.mark.xfail(
                     strict=True,
-                    reason="cat_U_tilde odd-cat branch is off by about tau Re(alpha^2)/2 "
+                    reason="closed_terms odd-cat U~ branch is off by about tau Re(alpha^2)/2 "
                     "at first order (defect ratio about 11, not 100)",
                 ),
             ),

@@ -260,6 +260,19 @@ class TestBatchedEntropy:
         assert not row.valid and not row.warn
 
 
+@pytest.mark.parametrize(
+    "quantity, kind, re",
+    [("photon_dist", "coherent", (12.0, 13.0, 2)), ("entropy", "cat-even", (12.0, 20.0, 2))],
+)
+def test_overflowed_cells_are_nan_rows(quantity, kind, re):
+    # |alpha| = 12 still fits the coefficient table; 13 and 20 overflow alpha^n
+    with pytest.warns(RuntimeWarning):
+        rows = scan.run_scan(_spec(quantity, kind, re, (0.0, 0.0, 1), (0.0,))).rows
+    assert math.isfinite(rows[0].value)
+    assert math.isnan(rows[1].value)
+    assert not rows[1].valid and not rows[1].warn
+
+
 def _photon_reference_row(spec, alpha, tau):
     """What the scan must give for one photon_dist cell, from the one-cell state path."""
     nan_row = scan.ScanRow(alpha.real, alpha.imag, tau, math.nan, False, False)
@@ -459,8 +472,9 @@ class TestCli:
         table = scan.parse_csv(out)
         assert table.rows[0].value == -0.05
 
-    def test_validate_fast(self, capsys):
-        assert main(["validate", "--level", "fast"]) == 0
+    @pytest.mark.parametrize("level", ["fast", "full"])
+    def test_validate(self, capsys, level):
+        assert main(["validate", "--level", level]) == 0
         out = capsys.readouterr().out
         assert "[PASS]" in out
         assert "[FAIL]" not in out

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from ncqo import states
 from ncqo.deformation import amplitude_inv_f_factorial, coefficient_C, f_squared
-from ncqo.errors import CutoffError, DegenerateStateError, PerturbativeBreakdownError
+from ncqo.errors import CutoffError, DegenerateStateError, NcqoError
 from ncqo.states import StateFamily, StateKind
 
 
@@ -38,10 +38,9 @@ class TestClosedNorms:
         want = math.exp(r) * (1.0 - 0.1 * r - 0.1 * r**2 / 4.0)
         assert states.coherent_norm_sq(math.sqrt(2.0), 0.1) == pytest.approx(want)
 
-    def test_strict_raises_on_breakdown(self):
-        with pytest.raises(PerturbativeBreakdownError):
-            states.coherent_norm_sq(3.0, 1.0)
-        assert states.coherent_norm_sq(3.0, 1.0, strict=False) < 0
+    def test_norm_negative_past_breakdown(self):
+        # returned as it is, never clamped: callers keep it as metadata
+        assert states.coherent_norm_sq(3.0, 1.0) < 0
 
     def test_cat_norm_glauber_limit(self):
         r = 1.44
@@ -152,6 +151,27 @@ def test_state_rows_match_build_state():
         for alpha in alphas[2:]:
             with pytest.raises(CutoffError):
                 states.build_state(StateKind(family, alpha, 0.05), 30, True)
+
+
+def test_tail_check_rejects_overflowed_rows():
+    # an inf or NaN total compares false with every tail, so it must fail outright
+    rows = np.array(
+        [
+            [1.0, 0.0, 0.0, 0.0, 0.0, 0.0],
+            [1.0, np.inf, 0.0, 0.0, 0.0, 0.0],
+            [1.0, 0.0, 0.0, 0.0, 0.0, np.inf],
+            [np.nan, 1.0, 0.0, 0.0, 0.0, 0.0],
+        ]
+    )
+    assert states.tail_converged(rows).tolist() == [True, False, False, False]
+
+
+@pytest.mark.parametrize("family", list(StateFamily))
+def test_overflowed_coefficients_raise(family):
+    # alpha^n passes the float range inside the automatic cutoff from about |alpha| = 13
+    with pytest.warns(RuntimeWarning), pytest.raises(NcqoError, match="overflowed") as err:
+        states.build_state(StateKind(family, 13.0, 0.0))
+    assert not isinstance(err.value, CutoffError)
 
 
 class TestBuildCoherent:
