@@ -13,7 +13,10 @@ Also provides the perturbed oscillator eigenvectors |phi_n> (which couple
 |n> only to |n +- 4> at first order), the rewritten coherent-state
 coefficients C(alpha, n), the energies E_n = n f^2(n), and the
 non-Hermitian Hamiltonian plus Dyson metric used by the spectrum
-spot-check.
+spot-check. observables.mandel_oracle projects onto the |phi_n> as one
+band over the state vector; perturbed_eigenvector is the dense vector
+behind that band, the reference the tests compare it with, and a name
+the benchmark's tracer wraps.
 """
 
 from __future__ import annotations

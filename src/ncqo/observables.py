@@ -4,9 +4,17 @@ distributions.
 Every diagnostic exists twice: a closed first-order-in-tau formula and a
 truncated-matrix oracle. The oracle convention: states are expansions over
 the Hermitian-side eigenvectors, so expectation values of the
-noncommutative operators use the similarity-transformed matrices
+noncommutative operators use the similarity-transformed operators
 y~ = y + tau (z^2 y + y z^2)/2 and z~ = z with plain inner products; no
 metric matrix is applied to the states.
+
+The oracles act on the state vector with the banded operators themselves:
+quad_moments_oracle chains the ladder actions of y and z, truncated as
+fock.ladder_lowering is (a^dagger |K-1> is dropped), and mandel_oracle
+projects onto the perturbed eigenvectors as one band c_m + the |m +- 4>
+sidebands. Neither reads a closed form. metric_quadratures and
+deformation.perturbed_eigenvector are the dense forms of the same
+operators and vectors; the tests compare the oracles against them.
 
 For every kind we report U = varY - R and U~ = R - varZ, so the
 generalized-uncertainty validity value R(U - U~) - U U~ coincides with
@@ -33,9 +41,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .deformation import perturbed_eigenvector
 from .errors import DimensionError
-from .fock import FockVector, OperatorMatrix, expectation, quadratures
+from .fock import FockVector, OperatorMatrix, quadratures
 from .states import DeformedState, StateKind, cat_norm_sq, coherent_norm_sq, require_normalized
 
 
@@ -68,7 +75,11 @@ class NumberMoments:
 
 
 def metric_quadratures(tau: float, cutoff: int) -> tuple[OperatorMatrix, OperatorMatrix]:
-    """Similarity-transformed quadratures (y~, z~) on the truncated basis."""
+    """Similarity-transformed quadratures (y~, z~) on the truncated basis.
+
+    The dense form of the operators quad_moments_oracle applies as banded
+    ladder actions; the tests use it as that oracle's reference.
+    """
     if cutoff < 6:
         raise DimensionError("metric quadratures need cutoff >= 6")
     y, z = quadratures(cutoff)
@@ -235,14 +246,40 @@ def quad_moments_closed(kind: StateKind) -> QuadratureMoments:
     )
 
 
+def _y_and_z(c: np.ndarray, s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(y c, z c) for y = (a^dagger + a)/sqrt 2 and z = i(a^dagger - a)/sqrt 2.
+
+    s holds sqrt(n / 2) for n = 1..K-1. The ladder actions truncate as
+    fock.ladder_lowering does: a^dagger |K-1> is dropped, so chained
+    actions equal the products of the truncated matrices.
+    """
+    low = np.zeros_like(c)
+    low[:-1] = s * c[1:]
+    up = np.zeros_like(c)
+    up[1:] = s * c[:-1]
+    return up + low, 1j * (up - low)
+
+
 def quad_moments_oracle(state: DeformedState | FockVector, tau: float) -> QuadratureMoments:
-    """Quadrature moments from dense matrix products on the truncated basis."""
-    vec = _vector_of(state)
-    ytil, ztil = metric_quadratures(tau, vec.cutoff)
-    mean_y = expectation(ytil, vec).real
-    mean_z = expectation(ztil, vec).real
-    mean_y2 = expectation(ytil @ ytil, vec).real
-    mean_z2 = expectation(ztil @ ztil, vec).real
+    """Quadrature moments from banded ladder actions on the truncated basis.
+
+    y~ c = y c + tau (z z y c + y z z c)/2 is built from chained actions of
+    y and z, the same truncated operators as metric_quadratures; since the
+    truncated y~ and z are Hermitian, <y~^2> = ||y~ c||^2 and <z^2> = ||z c||^2.
+    """
+    c = _vector_of(state).coeffs
+    k = c.size
+    if k < 6:
+        raise DimensionError("quadrature oracle needs cutoff >= 6")
+    s = np.sqrt(np.arange(1.0, k)) / math.sqrt(2.0)
+    yc, zc = _y_and_z(c, s)
+    zyc = _y_and_z(yc, s)[1]
+    zzc = _y_and_z(zc, s)[1]
+    ytil_c = yc + (tau / 2.0) * (_y_and_z(zyc, s)[1] + _y_and_z(zzc, s)[0])
+    mean_y = float(np.vdot(c, ytil_c).real)
+    mean_z = float(np.vdot(c, zc).real)
+    mean_y2 = float(np.vdot(ytil_c, ytil_c).real)
+    mean_z2 = float(np.vdot(zc, zc).real)
     var_y = mean_y2 - mean_y**2
     var_z = mean_z2 - mean_z**2
     big_r = 0.5 * (1.0 + tau * mean_z2)
@@ -341,19 +378,28 @@ def mandel_oracle(state: DeformedState | FockVector, tau: float) -> NumberMoment
     A deformed-ladder expectation <A+A> would return |alpha|^2 exactly for
     coherent inputs (they are A eigenstates) and carries no number
     squeezing. Operator ordering is moot for the diagonal index weights.
+
+    For tau > 0 the projections <phi_m|psi> (deformation.perturbed_eigenvector)
+    are one band over the vector,
+    p_m = c_m + (tau/16) sqrt((m+1)_4) c_(m+4) - (tau/16) sqrt((m-3)_4) c_(m-4)
+    for m < K - 4, the last term only from m = 4; this needs cutoff >= 5.
     """
-    vec = _vector_of(state)
-    k = vec.cutoff
+    c = _vector_of(state).coeffs
+    k = c.size
     if tau == 0.0:
-        weights = np.abs(vec.coeffs) ** 2
+        weights = np.abs(c) ** 2
         n = np.arange(k, dtype=np.float64)
     else:
         n_max = k - 4  # perturbed eigenvectors need the +4 sideband in range
-        weights = np.empty(n_max)
-        for m in range(n_max):
-            phi = perturbed_eigenvector(m, tau, k)
-            weights[m] = abs(np.vdot(phi.coeffs, vec.coeffs)) ** 2
+        if n_max < 1:
+            raise DimensionError(f"Mandel oracle needs cutoff >= 5 at tau > 0, got {k}")
         n = np.arange(n_max, dtype=np.float64)
+        # (tau/16) sqrt((m+1)_4): the |m+4> entry of |phi_m>, minus the |m> entry of |phi_(m+4)>
+        side = (tau / 16.0) * np.sqrt((n + 1.0) * (n + 2.0) * (n + 3.0) * (n + 4.0))
+        proj = c[:n_max] + side * c[4:]
+        below = proj[4:]
+        below -= side[: below.size] * c[: below.size]
+        weights = np.abs(proj) ** 2
     total = float(np.sum(weights))
     mean_n = float(np.sum(weights * n)) / total
     mean_n2 = float(np.sum(weights * n**2)) / total

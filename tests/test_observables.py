@@ -1,6 +1,7 @@
 """Tests for quadrature moments, Mandel statistics and photon distributions."""
 
 import math
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -8,13 +9,81 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ncqo import observables as obs
-from ncqo.errors import DimensionError
-from ncqo.fock import basis_state
+from ncqo.deformation import perturbed_eigenvector
+from ncqo.errors import CutoffError, DimensionError
+from ncqo.fock import FockVector, basis_state, expectation
 from ncqo.states import StateFamily, StateKind, build_cat, build_coherent, build_state
+
+FAMILIES = (StateFamily.COHERENT, StateFamily.CAT_EVEN, StateFamily.CAT_ODD)
+FIGURE_TAUS = (0.0, 0.5, 1.0, 1.5, 2.0)  # the tau values of fig5-fig7
 
 
 def _kind(family, alpha, tau):
     return StateKind(family, alpha, tau)
+
+
+def _dense_mandel(vec, tau):
+    """mandel_oracle as one vdot per level against the dense perturbed eigenvectors."""
+    k = vec.cutoff
+    if tau == 0.0:
+        weights = np.abs(vec.coeffs) ** 2
+        n = np.arange(k, dtype=np.float64)
+    else:
+        weights = np.empty(k - 4)
+        for m in range(k - 4):
+            phi = perturbed_eigenvector(m, tau, k)
+            weights[m] = abs(np.vdot(phi.coeffs, vec.coeffs)) ** 2
+        n = np.arange(k - 4, dtype=np.float64)
+    total = float(np.sum(weights))
+    mean_n = float(np.sum(weights * n)) / total
+    mean_n2 = float(np.sum(weights * n**2)) / total
+    var_n = mean_n2 - mean_n**2
+    if mean_n == 0.0:
+        return obs.NumberMoments(mean_n, mean_n2, var_n, 0.0, flagged=True)
+    return obs.NumberMoments(mean_n, mean_n2, var_n, var_n / mean_n - 1.0)
+
+
+def _dense_quad(vec, tau):
+    """quad_moments_oracle as expectations of the dense metric_quadratures products."""
+    ytil, ztil = obs.metric_quadratures(tau, vec.cutoff)
+    mean_y = expectation(ytil, vec).real
+    mean_z = expectation(ztil, vec).real
+    mean_y2 = expectation(ytil @ ytil, vec).real
+    mean_z2 = expectation(ztil @ ztil, vec).real
+    var_y = mean_y2 - mean_y**2
+    var_z = mean_z2 - mean_z**2
+    big_r = 0.5 * (1.0 + tau * mean_z2)
+    return obs.QuadratureMoments(
+        mean_y, mean_z, mean_y2, mean_z2, var_y, var_z, big_r,
+        var_y - big_r, big_r - var_z, var_y * var_z - big_r**2,
+    )
+
+
+# Fields an oracle forms as a difference of larger moments inherit their
+# rounding: var_N = <N^2> - <N>^2 is exact to about one ulp of <N^2>, not of
+# var_N. Each maps to the size of the terms it is formed from.
+def _operand_scales(ref):
+    if isinstance(ref, obs.NumberMoments):
+        return {
+            "var_N": ref.mean_N2,
+            "mandel_Q": ref.mean_N2 / ref.mean_N if ref.mean_N else 0.0,
+        }
+    return {
+        "var_Y": ref.mean_Y2,
+        "var_Z": ref.mean_Z2,
+        "U": ref.mean_Y2 + ref.R,
+        "U_tilde": ref.R + ref.mean_Z2,
+        "saturation_defect": ref.var_Y * ref.mean_Z2 + ref.mean_Y2 * ref.var_Z + ref.R**2,
+    }
+
+
+def _assert_matches(got, ref):
+    """Every field within 1e-14 (1 + |ref| + the size of its operands)."""
+    scales = _operand_scales(ref)
+    for field in fields(ref):
+        g, r = getattr(got, field.name), getattr(ref, field.name)
+        tol = 1e-14 * (1.0 + abs(r) + scales.get(field.name, 0.0))
+        assert abs(g - r) <= tol, (field.name, g, r)
 
 
 class TestCoherentClosed:
@@ -229,3 +298,81 @@ class TestPhotonDistribution:
 
         with pytest.raises(ValueError):
             obs.photon_distribution(FockVector(np.array([2.0, 0.0])))
+
+
+ORACLE_TAUS = (0.0, 1e-3, 1e-2, 0.5, 2.0)
+# 0.5 <= |alpha| <= 3 at spread phases
+ORACLE_ALPHAS = tuple(
+    complex(radius * np.exp(1j * (0.3 + 1.1 * i)))
+    for i, radius in enumerate((0.5, 1.0, 1.5, 2.0, 2.5, 3.0))
+)
+
+
+class TestBandedOracles:
+    """The banded oracles against their dense references."""
+
+    @pytest.mark.parametrize("tau", ORACLE_TAUS)
+    @pytest.mark.parametrize("exact", (False, True), ids=("first-order", "exact"))
+    @pytest.mark.parametrize("family", FAMILIES, ids=str)
+    def test_equal_dense_at_automatic_cutoff(self, family, exact, tau):
+        built = 0
+        for alpha in ORACLE_ALPHAS:
+            try:
+                vec = build_state(_kind(family, alpha, tau), None, exact).vector
+            except CutoffError:  # the automatic cutoff does not grow with tau
+                continue
+            built += 1
+            mandel = obs.mandel_oracle(vec, tau)
+            _assert_matches(mandel, _dense_mandel(vec, tau))
+            if tau == 0.0:
+                assert mandel == _dense_mandel(vec, tau)
+            _assert_matches(obs.quad_moments_oracle(vec, tau), _dense_quad(vec, tau))
+        assert built
+
+    @pytest.mark.parametrize("tau", ORACLE_TAUS)
+    def test_equal_dense_at_smallest_cutoffs(self, tau):
+        rng = np.random.default_rng(8)
+        for cutoff, oracle, dense in (
+            (5, obs.mandel_oracle, _dense_mandel),
+            (6, obs.quad_moments_oracle, _dense_quad),
+        ):
+            for _ in range(20):
+                c = rng.normal(size=cutoff) + 1j * rng.normal(size=cutoff)
+                vec = FockVector(c / np.linalg.norm(c))
+                _assert_matches(oracle(vec, tau), dense(vec, tau))
+
+    @pytest.mark.parametrize("cutoff", (1, 4))
+    def test_mandel_oracle_needs_cutoff_5(self, cutoff):
+        with pytest.raises(DimensionError):
+            obs.mandel_oracle(basis_state(0, cutoff), 0.1)
+        assert obs.mandel_oracle(basis_state(0, 5), 0.1).flagged
+
+    def test_quad_oracle_needs_cutoff_6(self):
+        with pytest.raises(DimensionError):
+            obs.quad_moments_oracle(basis_state(0, 5), 0.1)
+
+
+# the inputs of the benchmark's point checks: first-order mode near the
+# origin at small tau, exact mode out to |alpha| = 3 at the figure taus
+_FIRST_ORDER_POINTS = st.tuples(
+    st.floats(0.5, 1.5), st.floats(0.0, 2.0 * math.pi), st.floats(0.0, 1e-2), st.just(False)
+)
+_EXACT_POINTS = st.tuples(
+    st.floats(0.5, 3.0), st.floats(0.0, 2.0 * math.pi), st.sampled_from(FIGURE_TAUS), st.just(True)
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(FAMILIES), st.one_of(_FIRST_ORDER_POINTS, _EXACT_POINTS))
+def test_oracle_invariants(family, point):
+    radius, phase, tau, exact = point
+    alpha = radius * complex(math.cos(phase), math.sin(phase))
+    state = build_state(_kind(family, alpha, tau), None, exact)
+    p = obs.photon_distribution(state)
+    assert abs(float(np.sum(p)) - 1.0) <= 1e-12
+    assert float(np.min(p)) >= 0.0
+    if family.parity:
+        assert not np.any(p[(np.arange(p.size) % 2) == (1 if family.parity == +1 else 0)])
+    q = obs.quad_moments_oracle(state, tau)
+    assert q.var_Y > 0.0 and q.var_Z > 0.0
+    assert obs.mandel_oracle(state, tau).mean_N >= 0.0
