@@ -14,7 +14,7 @@ from .errors import (
     NcqoError,
     SingularMetricError,
 )
-from .fock import FockVector, OperatorMatrix
+from .fock import FockVector
 from .states import DeformedState, StateFamily, StateKind, build_cat, build_coherent
 from .observables import NumberMoments, QuadratureMoments
 from .beamsplitter import SplitterParams
@@ -29,7 +29,6 @@ __all__ = [
     "CutoffError",
     "ConfigError",
     "FockVector",
-    "OperatorMatrix",
     "DeformedState",
     "StateFamily",
     "StateKind",

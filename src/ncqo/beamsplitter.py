@@ -29,6 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .deformation import amplitude_inv_f_factorial, coefficient_C
+from .errors import ConfigError
 from .fock import FockVector, basis_state
 from .states import (
     DeformedState,
@@ -50,9 +51,9 @@ class SplitterParams:
 
     def __post_init__(self):
         if not 0.0 <= self.theta <= math.pi:
-            raise ValueError("theta must lie in [0, pi]")
+            raise ConfigError("theta must lie in [0, pi]")
         if not 0.0 <= self.phi < 2.0 * math.pi:
-            raise ValueError("phi must lie in [0, 2 pi)")
+            raise ConfigError("phi must lie in [0, 2 pi)")
 
     @property
     def t(self) -> float:

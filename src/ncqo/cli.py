@@ -13,11 +13,23 @@ from .states import StateFamily
 from .validate import run_validation
 
 
-def _parse_range(text: str) -> tuple[float, float, int]:
+def _number(convert, text: str, option: str):
+    """convert(text), with a ValueError reported as a ConfigError naming the option."""
+    try:
+        return convert(text)
+    except ValueError:
+        raise ConfigError(f"{option}: expected {convert.__name__}, got {text!r}") from None
+
+
+def _parse_range(text: str, option: str) -> tuple[float, float, int]:
     parts = text.split(":")
     if len(parts) != 3:
         raise ConfigError(f"range must be min:max:steps, got {text!r}")
-    return float(parts[0]), float(parts[1]), int(parts[2])
+    return (
+        _number(float, parts[0], option),
+        _number(float, parts[1], option),
+        _number(int, parts[2], option),
+    )
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -51,15 +63,15 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         if args.command == "scan":
-            re_min, re_max, re_steps = _parse_range(args.re)
-            im_min, im_max, im_steps = _parse_range(args.im)
+            re_min, re_max, re_steps = _parse_range(args.re, "--re")
+            im_min, im_max, im_steps = _parse_range(args.im, "--im")
             spec = ScanSpec(
                 quantity=Quantity(args.quantity),
                 family=StateFamily(args.kind),
                 grid=GridSpec(re_min, re_max, re_steps, im_min, im_max, im_steps),
-                tau_list=tuple(float(t) for t in args.tau.split(",")),
+                tau_list=tuple(_number(float, t, "--tau") for t in args.tau.split(",")),
                 splitter=SplitterParams(args.theta, args.phi),
-                cutoff=None if args.cutoff == "auto" else int(args.cutoff),
+                cutoff=None if args.cutoff == "auto" else _number(int, args.cutoff, "--cutoff"),
                 fock_n=args.fock_n,
                 exact=args.exact,
             )

@@ -13,10 +13,11 @@ Also provides the perturbed oscillator eigenvectors |phi_n> (which couple
 |n> only to |n +- 4> at first order), the rewritten coherent-state
 coefficients C(alpha, n), the energies E_n = n f^2(n), and the
 non-Hermitian Hamiltonian plus Dyson metric used by the spectrum
-spot-check. observables.mandel_oracle projects onto the |phi_n> as one
-band over the state vector; perturbed_eigenvector is the dense vector
-behind that band, the reference the tests compare it with, and a name
-the benchmark's tracer wraps.
+spot-check. Both operators are plain (cutoff, cutoff) complex arrays, as
+every operator in fock is. observables.mandel_oracle projects onto the
+|phi_n> as one band over the state vector; perturbed_eigenvector is the
+dense vector behind that band, the reference the tests compare it with,
+and a name the benchmark's tracer wraps.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ import numpy as np
 
 from . import fock
 from .errors import DimensionError
-from .fock import FockVector, OperatorMatrix
+from .fock import FockVector
 
 
 def pochhammer(q: float, n: int) -> float:
@@ -124,23 +125,20 @@ def coefficient_C(alpha: complex, n: int, tau: float, exact_ratios: bool = False
     return c
 
 
-def hamiltonian(tau: float, cutoff: int) -> OperatorMatrix:
+def hamiltonian(tau: float, cutoff: int) -> np.ndarray:
     """Noncommutative oscillator H = P^2/2 + X^2/2 - (2+tau)/4 with X = (1+tau p^2) x.
 
     Non-Hermitian with respect to the standard inner product; isospectral to
     its Hermitian counterpart via the Dyson map (see dyson_metric). The
     constant shift makes E_0 = 0.
     """
-    y, z = fock.quadratures(cutoff)
-    x, p = y.mat, z.mat
+    x, p = fock.quadratures(cutoff)
     p2 = p @ p
     big_x = (np.eye(cutoff) + tau * p2) @ x
-    h = p2 / 2.0 + (big_x @ big_x) / 2.0 - (2.0 + tau) / 4.0 * np.eye(cutoff)
-    return OperatorMatrix(h)
+    return p2 / 2.0 + (big_x @ big_x) / 2.0 - (2.0 + tau) / 4.0 * np.eye(cutoff)
 
 
-def dyson_metric(tau: float, cutoff: int) -> OperatorMatrix:
+def dyson_metric(tau: float, cutoff: int) -> np.ndarray:
     """Dyson map eta = (1 + tau p^2)^(-1/2) on the truncated basis."""
     _, z = fock.quadratures(cutoff)
-    m = OperatorMatrix(np.eye(cutoff) + tau * (z.mat @ z.mat))
-    return fock.inverse_sqrt(m)
+    return fock.inverse_sqrt(np.eye(cutoff) + tau * (z @ z))

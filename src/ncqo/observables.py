@@ -14,7 +14,8 @@ fock.ladder_lowering is (a^dagger |K-1> is dropped), and mandel_oracle
 projects onto the perturbed eigenvectors as one band c_m + the |m +- 4>
 sidebands. Neither reads a closed form. metric_quadratures and
 deformation.perturbed_eigenvector are the dense forms of the same
-operators and vectors; the tests compare the oracles against them.
+operators and vectors; the tests compare the oracles against them. Those
+operators are plain (cutoff, cutoff) complex arrays, as in fock.
 
 For every kind we report U = varY - R and U~ = R - varZ, so the
 generalized-uncertainty validity value R(U - U~) - U U~ coincides with
@@ -42,7 +43,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionError
-from .fock import FockVector, OperatorMatrix, quadratures
+from .fock import FockVector, quadratures
 from .states import DeformedState, StateKind, cat_norm_sq, coherent_norm_sq, require_normalized
 
 
@@ -59,11 +60,6 @@ class QuadratureMoments:
     U_tilde: float  # R - var_Z
     saturation_defect: float  # var_Y * var_Z - R^2 = R(U - U~) - U U~
 
-    @property
-    def validity(self) -> bool:
-        """Generalized uncertainty relation holds (up to the working order)."""
-        return self.saturation_defect >= 0.0
-
 
 @dataclass(frozen=True)
 class NumberMoments:
@@ -74,7 +70,7 @@ class NumberMoments:
     flagged: bool = False  # Q undefined at alpha = 0, returned as 0 with flag
 
 
-def metric_quadratures(tau: float, cutoff: int) -> tuple[OperatorMatrix, OperatorMatrix]:
+def metric_quadratures(tau: float, cutoff: int) -> tuple[np.ndarray, np.ndarray]:
     """Similarity-transformed quadratures (y~, z~) on the truncated basis.
 
     The dense form of the operators quad_moments_oracle applies as banded
@@ -83,9 +79,8 @@ def metric_quadratures(tau: float, cutoff: int) -> tuple[OperatorMatrix, Operato
     if cutoff < 6:
         raise DimensionError("metric quadratures need cutoff >= 6")
     y, z = quadratures(cutoff)
-    z2 = z.mat @ z.mat
-    ytil = y.mat + tau * (z2 @ y.mat + y.mat @ z2) / 2.0
-    return OperatorMatrix(ytil), z
+    z2 = z @ z
+    return y + tau * (z2 @ y + y @ z2) / 2.0, z
 
 
 def _vector_of(state: DeformedState | FockVector) -> FockVector:

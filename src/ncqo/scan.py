@@ -23,9 +23,11 @@ Every cell's valid flag follows one rule, written in _closed_slice: a
 coherent cell is always valid, a cat cell is valid where
 R(U - U~) - U U~ >= 0; a state cell takes the flags of its closed cell.
 Cells that violate a state precondition (the odd cat at alpha ~ 0), fail
-the cutoff tail check or whose coefficients overflow carry a NaN sentinel
-and valid = warn = False instead of aborting the scan. CSV rows are
-written with one printf-style format, floats at 17 significant digits.
+the cutoff tail check, whose coefficients overflow or whose automatic
+cutoff passes fock.MAX_CUTOFF carry a NaN sentinel and valid = warn =
+False instead of aborting the scan; an explicit cutoff above MAX_CUTOFF
+is a ConfigError. CSV rows are written with one printf-style format,
+floats at 17 significant digits.
 """
 
 from __future__ import annotations
@@ -40,6 +42,7 @@ import numpy as np
 from . import __version__
 from .beamsplitter import SplitterParams, linear_entropy_rows, splitter_tables
 from .errors import ConfigError
+from .fock import MAX_CUTOFF
 from .observables import (
     CLOSED_QUADRATURE_NAMES,
     closed_mandel_q,
@@ -118,8 +121,8 @@ class ScanSpec:
             raise ConfigError("tau_list must be nonempty")
         if any(t < 0 or not math.isfinite(t) for t in self.tau_list):
             raise ConfigError("tau values must be finite and >= 0")
-        if self.cutoff is not None and self.cutoff < 6:
-            raise ConfigError("explicit cutoff must be >= 6")
+        if self.cutoff is not None and not 6 <= self.cutoff <= MAX_CUTOFF:
+            raise ConfigError(f"explicit cutoff must lie in [6, {MAX_CUTOFF}]")
         if self.fock_n < 0:
             raise ConfigError("fock_n must be >= 0")
 
@@ -181,12 +184,16 @@ def _state_slice(spec: ScanSpec, alphas: list, tau: float) -> list:
     """
     parity = spec.family.parity
     closed = _closed_slice(spec, alphas, tau, CLOSED_QUADRATURE_NAMES.index("R"))
-    live = [i for i, alpha in enumerate(alphas) if not _degenerate(spec, alpha)]
+    wanted = [default_cutoff(alpha) if spec.cutoff is None else spec.cutoff for alpha in alphas]
+    # a cell whose automatic cutoff passes MAX_CUTOFF is a NaN row: no table is built for it
+    live = [
+        i
+        for i, alpha in enumerate(alphas)
+        if not _degenerate(spec, alpha) and wanted[i] <= MAX_CUTOFF
+    ]
     values = {}
     if live:
-        cutoffs = np.array(
-            [default_cutoff(alphas[i]) if spec.cutoff is None else spec.cutoff for i in live]
-        )
+        cutoffs = np.array([wanted[i] for i in live])
         k_max = int(cutoffs.max())
         raw = raw_coherent_coeffs(np.array([alphas[i] for i in live]), tau, k_max, spec.exact)
         entropy = spec.quantity is Quantity.ENTROPY
@@ -294,51 +301,3 @@ def emit(table: ScanTable, format: str, path: str) -> None:
     except OSError as exc:
         raise OSError(f"failed writing scan output to {path}: {exc}") from exc
 
-
-def parse_csv(path: str) -> ScanTable:
-    """Read back a CSV emitted by emit(); metadata is not stored in CSV."""
-    with open(path) as fh:
-        lines = [ln for ln in fh.read().splitlines() if ln]
-    if not lines or lines[0] != CSV_HEADER:
-        raise ConfigError(f"{path} is not an ncqo scan CSV")
-    rows = []
-    for ln in lines[1:]:
-        re_a, im_a, tau, value, valid, warn = ln.split(",")
-        rows.append(
-            ScanRow(
-                float(re_a), float(im_a), float(tau), float(value),
-                valid == "true", warn == "true",
-            )
-        )
-    return ScanTable(rows=tuple(rows))
-
-
-def parse_json(path: str) -> ScanTable:
-    with open(path) as fh:
-        payload = json.load(fh)
-    rows = tuple(
-        ScanRow(r["re_alpha"], r["im_alpha"], r["tau"], r["value"], r["valid"], r["warn"])
-        for r in payload["rows"]
-    )
-    return ScanTable(rows=rows, metadata=payload.get("metadata", {}))
-
-
-def rows_equal(a: ScanRow, b: ScanRow) -> bool:
-    """Field-for-field equality treating NaN == NaN."""
-    def feq(x, y):
-        return (math.isnan(x) and math.isnan(y)) or x == y
-
-    return (
-        feq(a.re_alpha, b.re_alpha)
-        and feq(a.im_alpha, b.im_alpha)
-        and feq(a.tau, b.tau)
-        and feq(a.value, b.value)
-        and a.valid == b.valid
-        and a.warn == b.warn
-    )
-
-
-def tables_equal(a: ScanTable, b: ScanTable) -> bool:
-    return len(a.rows) == len(b.rows) and all(
-        rows_equal(x, y) for x, y in zip(a.rows, b.rows)
-    )

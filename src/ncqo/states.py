@@ -234,14 +234,6 @@ class DeformedState:
     def cutoff(self) -> int:
         return self.vector.cutoff
 
-    @property
-    def alpha(self) -> complex:
-        return self.kind.alpha
-
-    @property
-    def tau(self) -> float:
-        return self.kind.tau
-
 
 def build_state(kind: StateKind, cutoff: int | None = None, exact: bool = False) -> DeformedState:
     """Normalized state of a template: state_rows on its one coherent row.

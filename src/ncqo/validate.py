@@ -77,17 +77,17 @@ def _fast_checks() -> list[CheckResult]:
     k = 40
     margin = fock.interior_margin(k)
     a = fock.ladder_lowering(k)
-    comm = (a @ a.dagger()).mat - (a.dagger() @ a).mat
+    comm = a @ a.conj().T - a.conj().T @ a
     defect = float(np.max(np.abs((comm - np.eye(k))[: k - 1, : k - 1])))
     checks.append(_leq("ladder commutator [a, a+] = 1 (interior)", defect, 1e-13))
     y, z = fock.quadratures(k)
-    comm_yz = (y @ z).mat - (z @ y).mat
+    comm_yz = y @ z - z @ y
     defect = float(np.max(np.abs((comm_yz - 1j * np.eye(k))[: k - 1, : k - 1])))
     checks.append(_leq("quadrature commutator [y, z] = i (interior)", defect, 1e-12))
     # metric identity
-    m = fock.OperatorMatrix(np.eye(30) + 0.1 * (z.mat[:30, :30] @ z.mat[:30, :30]))
+    m = np.eye(30) + 0.1 * (z[:30, :30] @ z[:30, :30])
     inv = fock.inverse_sqrt(m)
-    ident = (inv @ m @ inv).mat
+    ident = inv @ m @ inv
     interior = 30 - fock.interior_margin(30)
     defect = float(np.max(np.abs((ident - np.eye(30))[:interior, :interior])))
     checks.append(_leq("inverse_sqrt metric identity (interior)", defect, 1e-8))
@@ -178,7 +178,7 @@ def _full_checks() -> list[CheckResult]:
     tau, k = 1e-3, 60
     h = deformation.hamiltonian(tau, k)
     eta = deformation.dyson_metric(tau, k)
-    htil = eta.mat @ h.mat @ np.linalg.inv(eta.mat)
+    htil = eta @ h @ np.linalg.inv(eta)
     evals = np.linalg.eigvalsh((htil + htil.conj().T) / 2.0)
     defect = max(abs(evals[n] - deformation.energy(n, tau)) for n in range(6))
     checks.append(_leq("spectrum spot-check (lowest 6 levels)", defect, 5 * tau**2 + 1e-8))

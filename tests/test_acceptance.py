@@ -231,7 +231,7 @@ def test_criterion_8_spectrum_spot_check():
     tau, k = 1e-3, 60
     h = deformation.hamiltonian(tau, k)
     eta = deformation.dyson_metric(tau, k)
-    htil = eta.mat @ h.mat @ np.linalg.inv(eta.mat)
+    htil = eta @ h @ np.linalg.inv(eta)
     evals = np.linalg.eigvalsh((htil + htil.conj().T) / 2.0)
     worst = max(abs(evals[n] - deformation.energy(n, tau)) for n in range(6))
     elapsed = time.perf_counter() - start
@@ -248,7 +248,7 @@ def test_criterion_9_cat_eigenstate_and_parity():
     alpha = 1.0 + 0.5j
     k = 40
     interior = k - fock.interior_margin(k)
-    a = fock.ladder_lowering(k).mat  # the deformed A = a f(n) at tau = 0, where f = 1
+    a = fock.ladder_lowering(k)  # the deformed A = a f(n) at tau = 0, where f = 1
     a2 = a @ a
     worst_resid = 0.0
     worst_parity = 0.0

@@ -9,14 +9,13 @@ from hypothesis import strategies as st
 
 from ncqo import deformation as d
 from ncqo.errors import DimensionError
-from ncqo.fock import OperatorMatrix, basis_state, ladder_lowering
+from ncqo.fock import basis_state, hermiticity_defect, ladder_lowering
 
 
-def deformed_lowering(tau: float, cutoff: int) -> OperatorMatrix:
+def deformed_lowering(tau: float, cutoff: int) -> np.ndarray:
     """Generalised annihilation operator A = a f(n), with f evaluated exactly."""
-    a = ladder_lowering(cutoff).mat
     fdiag = np.sqrt(1.0 + tau * (1 + np.arange(cutoff)) / 2.0)
-    return OperatorMatrix(a * fdiag[np.newaxis, :])
+    return ladder_lowering(cutoff) * fdiag[np.newaxis, :]
 
 
 def f_factorial_squared_pochhammer(n: int, tau: float) -> float:
@@ -118,7 +117,7 @@ class TestPerturbedEigenvector:
         for i in range(10):
             for j in range(10):
                 want = 1.0 if i == j else 0.0
-                assert abs(vs[i].dot(vs[j]) - want) <= bound
+                assert abs(np.vdot(vs[i].coeffs, vs[j].coeffs) - want) <= bound
 
 
 class TestCoefficientC:
@@ -166,17 +165,17 @@ class TestCoefficientC:
 class TestOperators:
     def test_deformed_lowering_reduces_to_ladder(self):
         a0 = deformed_lowering(0.0, 12)
-        assert np.allclose(a0.mat, ladder_lowering(12).mat)
+        assert np.allclose(a0, ladder_lowering(12))
 
     def test_deformed_lowering_action(self):
         tau, k = 0.3, 10
         a_def = deformed_lowering(tau, k)
-        v = a_def.apply(basis_state(4, k))
-        assert v.coeffs[3] == pytest.approx(math.sqrt(4 * d.f_squared(4, tau)))
+        v = a_def @ basis_state(4, k).coeffs
+        assert v[3] == pytest.approx(math.sqrt(4 * d.f_squared(4, tau)))
 
     def test_hamiltonian_hermiticity(self):
-        assert d.hamiltonian(0.0, 20).is_hermitian(1e-12)
-        assert d.hamiltonian(0.1, 20).hermiticity_defect() > 1e-3
+        assert hermiticity_defect(d.hamiltonian(0.0, 20)) <= 1e-12
+        assert hermiticity_defect(d.hamiltonian(0.1, 20)) > 1e-3
 
     def test_dyson_metric_squares_to_inverse(self):
         from ncqo import fock
@@ -184,8 +183,8 @@ class TestOperators:
         tau, k = 0.2, 30
         eta = d.dyson_metric(tau, k)
         _, z = fock.quadratures(k)
-        m = np.eye(k) + tau * (z.mat @ z.mat)
-        ident = eta.mat @ m @ eta.mat
+        m = np.eye(k) + tau * (z @ z)
+        ident = eta @ m @ eta
         interior = k - fock.interior_margin(k)
         assert np.max(np.abs((ident - np.eye(k))[:interior, :interior])) <= 1e-8
 
@@ -194,7 +193,7 @@ class TestOperators:
         tau, k = 1e-3, 60
         h = d.hamiltonian(tau, k)
         eta = d.dyson_metric(tau, k)
-        htil = eta.mat @ h.mat @ np.linalg.inv(eta.mat)
+        htil = eta @ h @ np.linalg.inv(eta)
         assert np.max(np.abs(htil - htil.conj().T)) <= 1e-10
         evals = np.linalg.eigvalsh((htil + htil.conj().T) / 2.0)
         for n in range(6):

@@ -9,6 +9,7 @@ from ncqo import scan
 from ncqo.beamsplitter import SplitterParams, entropy_for_kind
 from ncqo.cli import main
 from ncqo.errors import ConfigError, CutoffError
+from ncqo.fock import MAX_CUTOFF
 from ncqo.figrun import FIGURE_NAMES, load_manifest, panel_to_spec, run_figure
 from ncqo.observables import (
     cat_validity_value,
@@ -25,6 +26,7 @@ from ncqo.states import (
     default_cutoff,
     perturbative_warning_indicator,
 )
+from scan_io import parse_csv, parse_json, rows_equal, tables_equal
 
 GOLDEN_DIR = os.path.join(os.path.dirname(__file__), "golden")
 GOLDEN = os.path.join(GOLDEN_DIR, "cat_even_utilde.csv")
@@ -69,7 +71,7 @@ class TestRunScan:
 
     def test_rerun_gives_equal_tables(self):
         spec = _spec("U_tilde", "cat-even", (0.5, 1.5, 3), (0.5, 1.5, 3), (0.0, 0.5))
-        assert scan.tables_equal(scan.run_scan(spec), scan.run_scan(spec))
+        assert tables_equal(scan.run_scan(spec), scan.run_scan(spec))
 
     def test_nan_sentinel_for_odd_cat_near_origin(self):
         table = scan.run_scan(_spec("mandel", "cat-odd", (0, 1, 2), (0, 0, 1), (0.1,)))
@@ -99,6 +101,11 @@ class TestRunScan:
             scan.run_scan(_spec("R", "coherent", (0, 1, 2), (0, 0, 1), (-0.1,)))
         with pytest.raises(ConfigError):
             scan.run_scan(_spec("R", "coherent", (0, 1, 2), (0, 0, 1), (0.1,), cutoff=3))
+        with pytest.raises(ConfigError):
+            scan.run_scan(
+                _spec("R", "coherent", (0, 1, 2), (0, 0, 1), (0.1,), cutoff=MAX_CUTOFF + 1)
+            )
+        scan.run_scan(_spec("R", "coherent", (0, 1, 2), (0, 0, 1), (0.1,), cutoff=MAX_CUTOFF))
 
 
 def _one_cell_row(spec, alpha, tau):
@@ -143,7 +150,7 @@ def test_closed_scan_equals_one_cell_reference(quantity, family):
     assert len(rows) == 5 * 3 * 4
     for row in rows:
         want = _closed_reference_row(spec, complex(row.re_alpha, row.im_alpha), row.tau)
-        assert scan.rows_equal(row, want), (row, want)
+        assert rows_equal(row, want), (row, want)
     nan_rows = [r for r in rows if math.isnan(r.value)]
     assert len(nan_rows) == (4 if family is StateFamily.CAT_ODD else 0)
 
@@ -231,7 +238,7 @@ class TestBatchedEntropy:
             assert len(rows) == re[2] * im[2] * len(self.TAUS)
             for row in rows:
                 want = _one_cell_row(spec, complex(row.re_alpha, row.im_alpha), row.tau)
-                assert scan.rows_equal(row, want), (row, want)
+                assert rows_equal(row, want), (row, want)
 
     def test_grids_mix_cutoffs(self):
         cutoffs = set()
@@ -262,15 +269,40 @@ class TestBatchedEntropy:
 
 @pytest.mark.parametrize(
     "quantity, kind, re",
-    [("photon_dist", "coherent", (12.0, 13.0, 2)), ("entropy", "cat-even", (12.0, 20.0, 2))],
+    [("photon_dist", "coherent", (12.0, 13.0, 2)), ("entropy", "cat-even", (12.0, 20.0, 3))],
 )
 def test_overflowed_cells_are_nan_rows(quantity, kind, re):
-    # |alpha| = 12 still fits the coefficient table; 13 and 20 overflow alpha^n
+    # |alpha| = 12 still fits the coefficient table; 13 and 16 overflow alpha^n,
+    # and 20 (automatic cutoff 569) passes MAX_CUTOFF, so no table is built for it
     with pytest.warns(RuntimeWarning):
         rows = scan.run_scan(_spec(quantity, kind, re, (0.0, 0.0, 1), (0.0,))).rows
     assert math.isfinite(rows[0].value)
+    for row in rows[1:]:
+        assert math.isnan(row.value)
+        assert not row.valid and not row.warn
+
+
+@pytest.mark.parametrize("quantity", ["entropy", "photon_dist"])
+def test_cells_past_max_cutoff_build_no_table(monkeypatch, quantity):
+    # |alpha| = 100 has automatic cutoff 10,809: its tables would hold 1.2e8 entries each
+    assert default_cutoff(100.0) > MAX_CUTOFF >= default_cutoff(1.0)
+
+    def refuse_past_max(fn, cutoff_arg):
+        # raises before fn allocates anything
+        def wrapper(*args):
+            if args[cutoff_arg] > MAX_CUTOFF:
+                raise AssertionError(f"{fn.__name__} asked for cutoff {args[cutoff_arg]}")
+            return fn(*args)
+
+        return wrapper
+
+    monkeypatch.setattr(scan, "splitter_tables", refuse_past_max(scan.splitter_tables, 0))
+    monkeypatch.setattr(scan, "raw_coherent_coeffs", refuse_past_max(scan.raw_coherent_coeffs, 2))
+    rows = scan.run_scan(_spec(quantity, "coherent", (1.0, 100.0, 2), (0.0, 0.0, 1), (0.0,))).rows
+    alone = scan.run_scan(_spec(quantity, "coherent", (1.0, 1.0, 1), (0.0, 0.0, 1), (0.0,))).rows
+    assert rows_equal(rows[0], alone[0]) and math.isfinite(rows[0].value)
+    assert (rows[1].re_alpha, rows[1].valid, rows[1].warn) == (100.0, False, False)
     assert math.isnan(rows[1].value)
-    assert not rows[1].valid and not rows[1].warn
 
 
 def _photon_reference_row(spec, alpha, tau):
@@ -307,7 +339,7 @@ def test_photon_scan_equals_one_cell_reference(family, exact, cutoff):
         assert len(rows) == 9 * 5 * 4
         for row in rows:
             want = _photon_reference_row(spec, complex(row.re_alpha, row.im_alpha), row.tau)
-            assert scan.rows_equal(row, want), (row, want)
+            assert rows_equal(row, want), (row, want)
         nan_cells += sum(math.isnan(r.value) for r in rows)
         if fock_n == 40 and cutoff == 40:
             assert all(r.value == 0.0 for r in rows if not math.isnan(r.value))
@@ -346,7 +378,7 @@ def test_entropy_figure_golden(figure):
     """Panel (a) of each entropy figure against its pinned CSV: same cells and flags, values to 1e-12."""
     panel = next(p for p in load_manifest(figure)["panels"] if p["name"] == "a")
     got = scan.run_scan(panel_to_spec(panel)).rows
-    want = scan.parse_csv(os.path.join(GOLDEN_DIR, f"{figure}_a.csv")).rows
+    want = parse_csv(os.path.join(GOLDEN_DIR, f"{figure}_a.csv")).rows
     assert len(got) == len(want)
     for g, w in zip(got, want):
         assert (g.re_alpha, g.im_alpha, g.tau, g.valid, g.warn) == (
@@ -361,16 +393,16 @@ class TestEmitParse:
         table = scan.run_scan(spec)
         path = str(tmp_path / "t.csv")
         scan.emit(table, "csv", path)
-        back = scan.parse_csv(path)
-        assert scan.tables_equal(table, back)
+        back = parse_csv(path)
+        assert tables_equal(table, back)
 
     def test_json_round_trip(self, tmp_path):
         spec = _spec("varY", "coherent", (0.5, 1.5, 2), (0, 0, 1), (0.01,))
         table = scan.run_scan(spec)
         path = str(tmp_path / "t.json")
         scan.emit(table, "json", path)
-        back = scan.parse_json(path)
-        assert scan.tables_equal(table, back)
+        back = parse_json(path)
+        assert tables_equal(table, back)
         assert back.metadata == table.metadata
 
     def test_csv_header_and_format(self, tmp_path):
@@ -400,8 +432,8 @@ class TestEmitParse:
             "1,0,5,inf,false,true",
             "0.10000000000000001,-2.5,0.01,0.10000000000000001,true,true",
         ]
-        back = scan.parse_csv(path)
-        assert scan.tables_equal(table, back)
+        back = parse_csv(path)
+        assert tables_equal(table, back)
         assert math.copysign(1.0, back.rows[1].value) == -1.0
         assert back.rows[3].value == 0.1
 
@@ -410,7 +442,7 @@ class TestEmitParse:
         with open(path, "w") as fh:
             fh.write("a,b,c\n1,2,3\n")
         with pytest.raises(ConfigError):
-            scan.parse_csv(path)
+            parse_csv(path)
 
     def test_unknown_format(self, tmp_path):
         table = scan.run_scan(_spec("R", "coherent", (1, 1, 1), (0, 0, 1), (0.0,)))
@@ -469,7 +501,7 @@ class TestCli:
             ]
         )
         assert code == 0
-        table = scan.parse_csv(out)
+        table = parse_csv(out)
         assert table.rows[0].value == -0.05
 
     @pytest.mark.parametrize("level", ["fast", "full"])
@@ -494,6 +526,26 @@ class TestCli:
         )
         assert code == 2
 
+    @pytest.mark.parametrize(
+        "option, value",
+        [("--cutoff", "abc"), ("--tau", "x"), ("--theta", "4")],
+    )
+    def test_bad_input_exit_code(self, tmp_path, capsys, option, value):
+        out = str(tmp_path / "x.csv")
+        argv = [
+            "scan",
+            "--quantity", "entropy",
+            "--kind", "coherent",
+            "--re", "1:1:1",
+            "--im", "0:0:1",
+            "--tau", "0.1",
+            "--out", out,
+            option, value,  # the last occurrence of an option wins
+        ]
+        assert main(argv) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not os.path.exists(out)
+
     def test_splitter_passthrough(self, tmp_path):
         # theta = 0 transmits everything: entropy 0 for any input
         out = str(tmp_path / "theta0.csv")
@@ -510,7 +562,7 @@ class TestCli:
             ]
         )
         assert code == 0
-        assert abs(scan.parse_csv(out).rows[0].value) <= 1e-10
+        assert abs(parse_csv(out).rows[0].value) <= 1e-10
 
 
 def test_splitter_default_in_spec():
