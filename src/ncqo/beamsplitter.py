@@ -13,9 +13,10 @@ and rho_A = A A^+. Linear entropy S = 1 - Tr rho_A^2 = 1 - ||A A^+||_F^2 is
 evaluated through this one kernel twice: as a density-matrix oracle on the
 renormalized state (entropy_for_kind on one build_state vector,
 linear_entropy_rows on a stack of states.state_rows vectors, one
-(cells, K, K) matmul with the alpha-independent splitter_tables built
-once), and as the closed coherent-state sum on the raw coefficients with
-the closed-form norm (linear_entropy_closed). Both guard the cutoff with
+(cells, K, K) matmul with the alpha-independent splitter_tables, whose
+index and binomial blocks are built once per states.table_size and
+shared), and as the closed coherent-state sum on the raw coefficients
+with the closed-form norm (linear_entropy_closed). Both guard the cutoff with
 the one tail criterion, states.tail_converged. A naive four-index loop is
 kept as a micro-oracle for the closed sum at small cutoffs.
 """
@@ -23,6 +24,7 @@ kept as a micro-oracle for the closed sum at small cutoffs.
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 from dataclasses import dataclass
 
@@ -39,7 +41,9 @@ from .states import (
     cutoff_error,
     log_factorials,
     raw_coherent_coeffs,
+    read_only,
     require_normalized,
+    table_size,
     tail_converged,
 )
 
@@ -66,18 +70,36 @@ class SplitterParams:
         return -cmath.exp(1j * self.phi) * math.sin(self.theta / 2.0)
 
 
+@functools.lru_cache(maxsize=None)
+def _binomial_table(size: int) -> tuple[np.ndarray, np.ndarray]:
+    """The index q + m and sqrt(binom(q+m, q)) for q, m < size, shared read-only.
+
+    sqrt(binom) comes from log factorials, taken at index 0 where q + m >= size.
+    """
+    n = np.arange(size)
+    total = n[:, None] + n[None, :]
+    lf = log_factorials(size)
+    sqrt_binom = np.exp(0.5 * (lf[np.where(total < size, total, 0)] - lf[:, None] - lf[None, :]))
+    return read_only(total, sqrt_binom)
+
+
 def splitter_tables(cutoff: int, params: SplitterParams) -> tuple[np.ndarray, ...]:
     """The alpha-independent factors of A at cutoff K.
 
-    Returns the index q + m, sqrt(binom(q+m, q)) from log factorials (taken
-    at index 0 where q + m >= K, a position A zeroes), t^q and r^m. Every
-    entry depends on q and m only, so the [:k, :k] blocks serve any k <= K.
+    Returns the index q + m and sqrt(binom(q+m, q)), read-only K x K blocks
+    of one table shared by every cutoff of the same states.table_size, then
+    t^q and r^m. Every entry depends on q and m only, so the [:k, :k] blocks
+    serve any k <= K. Entries with q + m >= K come from that larger table
+    and hold its values, not binomials at cutoff K; A zeroes those positions.
     """
+    total, sqrt_binom = _binomial_table(table_size(cutoff))
     n = np.arange(cutoff)
-    total = n[:, None] + n[None, :]
-    lf = log_factorials(cutoff)
-    sqrt_binom = np.exp(0.5 * (lf[np.where(total < cutoff, total, 0)] - lf[:, None] - lf[None, :]))
-    return total, sqrt_binom, np.power(params.t, n), np.power(params.r, n)
+    return (
+        total[:cutoff, :cutoff],
+        sqrt_binom[:cutoff, :cutoff],
+        np.power(params.t, n),
+        np.power(params.r, n),
+    )
 
 
 def _amplitude_matrix(coeffs: np.ndarray, tables: tuple) -> np.ndarray:

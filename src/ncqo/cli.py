@@ -42,10 +42,10 @@ def _build_parser() -> argparse.ArgumentParser:
     scan.add_argument("--re", required=True, help="min:max:steps for Re(alpha)")
     scan.add_argument("--im", required=True, help="min:max:steps for Im(alpha)")
     scan.add_argument("--tau", required=True, help="comma-separated tau list")
-    scan.add_argument("--theta", type=float, default=1.5707963267948966)
-    scan.add_argument("--phi", type=float, default=0.0)
+    scan.add_argument("--theta", default="1.5707963267948966")
+    scan.add_argument("--phi", default="0.0")
     scan.add_argument("--cutoff", default="auto", help="basis cutoff or 'auto'")
-    scan.add_argument("--fock-n", type=int, default=0, help="photon index for photon_dist")
+    scan.add_argument("--fock-n", default="0", help="photon index for photon_dist")
     scan.add_argument("--exact", action="store_true", help="exact-factorial coefficient mode")
     scan.add_argument("--format", default="csv", choices=["csv", "json"])
     scan.add_argument("--out", required=True)
@@ -70,9 +70,11 @@ def main(argv=None) -> int:
                 family=StateFamily(args.kind),
                 grid=GridSpec(re_min, re_max, re_steps, im_min, im_max, im_steps),
                 tau_list=tuple(_number(float, t, "--tau") for t in args.tau.split(",")),
-                splitter=SplitterParams(args.theta, args.phi),
+                splitter=SplitterParams(
+                    _number(float, args.theta, "--theta"), _number(float, args.phi, "--phi")
+                ),
                 cutoff=None if args.cutoff == "auto" else _number(int, args.cutoff, "--cutoff"),
-                fock_n=args.fock_n,
+                fock_n=_number(int, args.fock_n, "--fock-n"),
                 exact=args.exact,
             )
             emit(run_scan(spec), args.format, args.out)

@@ -14,10 +14,16 @@ and are never used to scale the vector. Two coefficient modes exist:
   C(alpha, n) set to 1, consistent with the first-order closed formulas;
 * exact: Pochhammer factorials and exact f-ratios, used for qualitative
   large-tau figure reproduction where the first-order coefficients blow up.
+
+The alpha-independent rows (log n!, 1/sqrt(n!), n!/(n-4)! and the tau/mode
+factors of coefficient_table) are built once per size bucket, table_size(K),
+and shared read-only: each row is elementwise in n or a prefix sum or
+product, so its first K entries equal the row built at K, bit for bit.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -104,11 +110,50 @@ def perturbative_warning_indicator(alpha: complex, tau: float) -> bool:
     return (1.0 - tau * r - tau * r**2 / 4.0) < 0.5
 
 
+def table_size(cutoff: int) -> int:
+    """The size a cutoff's shared tables are built at: the power of two >= cutoff, at least 32."""
+    if cutoff < 0:
+        raise ValueError("cutoff >= 0 required")
+    return max(32, 1 << (cutoff - 1).bit_length())
+
+
+def read_only(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:
+    """The arrays, each made read-only in place, for a cache that shares them."""
+    for a in arrays:
+        a.flags.writeable = False
+    return arrays
+
+
+@functools.lru_cache(maxsize=None)
+def _factorial_rows(size: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """log(n!) and exp(-log(n!)/2) = 1/sqrt(n!) for n < size, and n!/(n-4)! for 4 <= n < size."""
+    log_fact = np.zeros(size)
+    log_fact[1:] = np.cumsum(np.log(np.arange(1, size)))
+    m = np.arange(4, size)
+    return read_only(log_fact, np.exp(-0.5 * log_fact), (m - 3) * (m - 2) * (m - 1) * m)
+
+
+@functools.lru_cache(maxsize=64)
+def _mode_rows(tau: float, exact: bool, size: int) -> tuple:
+    """(ratio_up, ratio_dn, inv_f) of coefficient_table for n < size.
+
+    Exact mode: f(n)!/f(n+4)!, f(n)!/f(n-4)! (n >= 4) and 1/sqrt(f^2(n)!);
+    first-order mode: both ratios 1.0 and 1/f(n)! = 1 - tau n(3+n)/8.
+    """
+    if exact:
+        f2 = 1.0 + tau * (1 + np.arange(size + 4)) / 2.0
+        quad = f2[1:-3] * f2[2:-2] * f2[3:-1] * f2[4:]  # f^2(n+1) ... f^2(n+4)
+        # 1/sqrt(f^2(n)!) as a running product of f^2(k)^(-1/2): the factorial itself overflows
+        inv_f = np.cumprod(np.concatenate(([1.0], f2[1:size] ** -0.5)))
+        ratio_dn = quad[: size - 4] ** 0.5  # f^2(n-3) ... f^2(n), n >= 4
+        return read_only(quad**-0.5, ratio_dn, inv_f)
+    n = np.arange(size)
+    return (1.0, 1.0, *read_only(1.0 - tau * n * (3 + n) / 8.0))
+
+
 def log_factorials(k: int) -> np.ndarray:
-    """log(n!) for n < k, as a cumulative sum of logs."""
-    out = np.zeros(k)
-    out[1:] = np.cumsum(np.log(np.arange(1, k)))
-    return out
+    """log(n!) for n < k, as a cumulative sum of logs; read-only."""
+    return _factorial_rows(table_size(k))[0][:k]
 
 
 def coefficient_table(alpha, tau: float, cutoff: int, exact: bool = False) -> np.ndarray:
@@ -125,24 +170,18 @@ def coefficient_table(alpha, tau: float, cutoff: int, exact: bool = False) -> np
     alpha.shape + (cutoff,). Every entry is an elementwise function of
     alpha and n, or a prefix product of an n-only table, so the first k
     columns of a table built at a larger cutoff equal the table built at k.
+    The n-only rows come from the shared tables (see the module docstring).
     """
-    n = np.arange(cutoff)
-    power = np.power(np.asarray(alpha, dtype=np.complex128)[..., None], np.arange(cutoff + 4))
+    size = table_size(cutoff)
+    below = max(cutoff - 4, 0)
+    ratio_up, ratio_dn, inv_f = _mode_rows(float(tau), bool(exact), size)
     if exact:
-        f2 = 1.0 + tau * (1 + np.arange(cutoff + 4)) / 2.0
-        quad = f2[1:-3] * f2[2:-2] * f2[3:-1] * f2[4:]  # f^2(n+1) ... f^2(n+4)
-        ratio_up = quad**-0.5
-        ratio_dn = quad[: max(cutoff - 4, 0)] ** 0.5  # f^2(n-3) ... f^2(n), n >= 4
-        # 1/sqrt(f^2(n)!) as a running product of f^2(k)^(-1/2): the factorial itself overflows
-        inv_f = np.cumprod(np.concatenate(([1.0], f2[1:cutoff] ** -0.5)))
-    else:
-        ratio_up = ratio_dn = 1.0
-        inv_f = 1.0 - tau * n * (3 + n) / 8.0
+        ratio_up, ratio_dn = ratio_up[:cutoff], ratio_dn[:below]
+    power = np.power(np.asarray(alpha, dtype=np.complex128)[..., None], np.arange(cutoff + 4))
     c = power[..., :cutoff] - (tau / 16.0) * power[..., 4:] * ratio_up
-    m = n[4:]
-    pochhammer = (m - 3) * (m - 2) * (m - 1) * m  # n!/(n-4)!
-    c[..., 4:] += (tau / 16.0) * power[..., : max(cutoff - 4, 0)] * pochhammer * ratio_dn
-    return c * inv_f
+    pochhammer = _factorial_rows(size)[2][:below]  # n!/(n-4)!
+    c[..., 4:] += (tau / 16.0) * power[..., :below] * pochhammer * ratio_dn
+    return c * inv_f[:cutoff]
 
 
 def raw_coherent_coeffs(alpha, tau: float, cutoff: int, exact: bool = False) -> np.ndarray:
@@ -150,7 +189,8 @@ def raw_coherent_coeffs(alpha, tau: float, cutoff: int, exact: bool = False) -> 
 
     Broadcasts over an array of alpha like coefficient_table.
     """
-    return coefficient_table(alpha, tau, cutoff, exact) * np.exp(-0.5 * log_factorials(cutoff))
+    inv_sqrt_factorial = _factorial_rows(table_size(cutoff))[1][:cutoff]
+    return coefficient_table(alpha, tau, cutoff, exact) * inv_sqrt_factorial
 
 
 def tail_converged(raw: np.ndarray) -> np.ndarray:

@@ -105,6 +105,29 @@ def test_kernel_invariants(pairs, theta, phi):
             assert abs(s) <= 1e-12
 
 
+@settings(max_examples=40, deadline=None)
+@given(
+    st.integers(min_value=6, max_value=64),
+    st.integers(min_value=1, max_value=5),
+    st.integers(min_value=0, max_value=200),
+    st.integers(min_value=0, max_value=2**32 - 1),
+    st.floats(min_value=0.0, max_value=math.pi),
+    st.floats(min_value=0.0, max_value=2.0 * math.pi, exclude_max=True),
+)
+def test_stacked_kernel_equals_one_row_path(k, cells, extra, seed, theta, phi):
+    # tables from a larger cutoff, K + extra, serve every stacked row of cutoff K
+    rng = np.random.default_rng(seed)
+    rows = rng.normal(size=(cells, k)) + 1j * rng.normal(size=(cells, k))
+    rows /= np.linalg.norm(rows, axis=1, keepdims=True)
+    params = bs.SplitterParams(theta, phi)
+    got = bs.linear_entropy_rows(rows, bs.splitter_tables(k + extra, params))
+    assert got.shape == (cells,)
+    assert np.all((-1e-12 <= got) & (got <= 1.0))
+    for row, s in zip(rows, got):
+        one = bs.linear_entropy_oracle(bs.reduced_density(bs.split_state(FockVector(row), params)))
+        assert np.float64(one).tobytes() == s.tobytes()
+
+
 class TestReducedDensity:
     def test_trace_one_and_hermitian(self):
         st_ = build_coherent(0.8 - 0.3j, 1e-3, cutoff=40)

@@ -1,7 +1,9 @@
 """Tests for grid scans, CSV/JSON emission, determinism and the CLI."""
 
+import json
 import math
 import os
+import stat
 
 import pytest
 
@@ -437,6 +439,46 @@ class TestEmitParse:
         assert math.copysign(1.0, back.rows[1].value) == -1.0
         assert back.rows[3].value == 0.1
 
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_overwrite_equals_fresh_write(self, tmp_path, fmt):
+        # emit writes in place: a shorter table over a longer file leaves no stale bytes
+        short = scan.run_scan(_spec("R", "coherent", (1, 1, 1), (0, 0, 1), (0.0,)))
+        long = scan.run_scan(_spec("R", "cat-even", (0, 2, 9), (0, 1, 3), (0.0, 0.1)))
+        for name, first, second in (("shrink", long, short), ("grow", short, long)):
+            fresh, over = str(tmp_path / f"{name}_fresh.{fmt}"), str(tmp_path / f"{name}.{fmt}")
+            scan.emit(second, fmt, fresh)
+            scan.emit(first, fmt, over)
+            scan.emit(second, fmt, over)
+            with open(over, "rb") as a, open(fresh, "rb") as b:
+                assert a.read() == b.read()
+            back = parse_csv(over) if fmt == "csv" else parse_json(over)
+            assert tables_equal(second, back)
+
+    def test_json_bytes(self, tmp_path):
+        table = scan.run_scan(_spec("mandel", "cat-odd", (0, 1, 2), (0, 1, 2), (0.0, 1.0)))
+        path = str(tmp_path / "t.json")
+        scan.emit(table, "json", path)
+        with open(path) as fh:
+            text = fh.read()
+        assert json.loads(text)["metadata"] == table.metadata
+        ref = str(tmp_path / "ref.json")
+        with open(ref, "w") as fh:
+            json.dump(json.loads(text), fh, indent=1)
+            fh.write("\n")
+        with open(ref) as fh:
+            assert fh.read() == text
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_emit_to_devnull(self, fmt):
+        table = scan.run_scan(_spec("R", "coherent", (1, 1, 1), (0, 0, 1), (0.0,)))
+        scan.emit(table, fmt, os.devnull)
+        assert stat.S_ISCHR(os.stat(os.devnull).st_mode)
+
+    def test_write_error_names_the_path(self, tmp_path):
+        table = scan.run_scan(_spec("R", "coherent", (1, 1, 1), (0, 0, 1), (0.0,)))
+        with pytest.raises(OSError, match="failed writing scan output to"):
+            scan.emit(table, "csv", str(tmp_path / "missing" / "t.csv"))
+
     def test_parse_rejects_foreign_csv(self, tmp_path):
         path = str(tmp_path / "bad.csv")
         with open(path, "w") as fh:
@@ -528,7 +570,14 @@ class TestCli:
 
     @pytest.mark.parametrize(
         "option, value",
-        [("--cutoff", "abc"), ("--tau", "x"), ("--theta", "4")],
+        [
+            ("--cutoff", "abc"),
+            ("--tau", "x"),
+            ("--theta", "4"),
+            ("--theta", "abc"),
+            ("--phi", "x"),
+            ("--fock-n", "x"),
+        ],
     )
     def test_bad_input_exit_code(self, tmp_path, capsys, option, value):
         out = str(tmp_path / "x.csv")
