@@ -14,7 +14,7 @@ evaluated through this one kernel twice: as a density-matrix oracle on the
 renormalized state (entropy_for_kind on one build_state vector,
 linear_entropy_rows on a stack of states.state_rows vectors, one
 (cells, K, K) matmul with the alpha-independent splitter_tables, whose
-index and binomial blocks are built once per states.table_size and
+index and binomial blocks are built once per states._table_size and
 shared), and as the closed coherent-state sum on the raw coefficients
 with the closed-form norm (linear_entropy_closed). Both guard the cutoff with
 the one tail criterion, states.tail_converged. A naive four-index loop is
@@ -31,9 +31,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .deformation import amplitude_inv_f_factorial, coefficient_C
-from .errors import ConfigError
-from .fock import FockVector, basis_state
+from .errors import ConfigError, DimensionError
+from .fock import MAX_CUTOFF, FockVector, basis_state
 from .states import (
+    _read_only,
+    _table_size,
     DeformedState,
     StateKind,
     build_state,
@@ -41,9 +43,7 @@ from .states import (
     cutoff_error,
     log_factorials,
     raw_coherent_coeffs,
-    read_only,
     require_normalized,
-    table_size,
     tail_converged,
 )
 
@@ -80,19 +80,23 @@ def _binomial_table(size: int) -> tuple[np.ndarray, np.ndarray]:
     total = n[:, None] + n[None, :]
     lf = log_factorials(size)
     sqrt_binom = np.exp(0.5 * (lf[np.where(total < size, total, 0)] - lf[:, None] - lf[None, :]))
-    return read_only(total, sqrt_binom)
+    return _read_only(total, sqrt_binom)
 
 
 def splitter_tables(cutoff: int, params: SplitterParams) -> tuple[np.ndarray, ...]:
     """The alpha-independent factors of A at cutoff K.
 
     Returns the index q + m and sqrt(binom(q+m, q)), read-only K x K blocks
-    of one table shared by every cutoff of the same states.table_size, then
+    of one table shared by every cutoff of the same states._table_size, then
     t^q and r^m. Every entry depends on q and m only, so the [:k, :k] blocks
     serve any k <= K. Entries with q + m >= K come from that larger table
     and hold its values, not binomials at cutoff K; A zeroes those positions.
+    A cutoff above fock.MAX_CUTOFF is a DimensionError, so the shared table
+    never outgrows the MAX_CUTOFF bucket.
     """
-    total, sqrt_binom = _binomial_table(table_size(cutoff))
+    if cutoff > MAX_CUTOFF:
+        raise DimensionError(f"cutoff {cutoff} exceeds supported maximum {MAX_CUTOFF}")
+    total, sqrt_binom = _binomial_table(_table_size(cutoff))
     n = np.arange(cutoff)
     return (
         total[:cutoff, :cutoff],

@@ -15,7 +15,7 @@ import os
 
 from .errors import ConfigError
 from .observables import photon_distribution
-from .scan import GridSpec, Quantity, ScanSpec, _write_text, emit, run_scan
+from .scan import GridSpec, Quantity, ScanSpec, emit, run_scan
 from .states import StateFamily, StateKind, build_state
 from .beamsplitter import SplitterParams
 
@@ -60,7 +60,8 @@ def _emit_photon_panel(panel: dict, path: str) -> None:
             f"{(dists[k][n] if n < dists[k].size else 0.0):.17g}" for k in panel["kinds"]
         ]
         lines.append(f"{n}," + ",".join(vals))
-    _write_text(path, "\n".join(lines) + "\n")
+    with open(path, "w", newline="") as fh:
+        fh.write("\n".join(lines) + "\n")
 
 
 def run_figure(name: str, outdir: str) -> list[str]:

@@ -12,12 +12,10 @@ The oracles act on the state vector with the banded operators themselves:
 quad_moments_oracle chains the ladder actions of y and z, truncated as
 fock.ladder_lowering is (a^dagger |K-1> is dropped), and mandel_oracle
 projects onto the perturbed eigenvectors as one band c_m + the |m +- 4>
-sidebands. Neither reads a closed form. Their rows that depend on the
-level n alone are built once per states.table_size and shared read-only.
-metric_quadratures and deformation.perturbed_eigenvector are the dense
-forms of the same operators and vectors; the tests compare the oracles
-against them. Those operators are plain (cutoff, cutoff) complex arrays,
-as in fock.
+sidebands. Neither reads a closed form. metric_quadratures and
+deformation.perturbed_eigenvector are the dense forms of the same
+operators and vectors; the tests compare the oracles against them. Those
+operators are plain (cutoff, cutoff) complex arrays, as in fock.
 
 For every kind we report U = varY - R and U~ = R - varZ, so the
 generalized-uncertainty validity value R(U - U~) - U U~ coincides with
@@ -39,7 +37,6 @@ every value the plain formula can represent keeps its bits.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 
@@ -47,15 +44,7 @@ import numpy as np
 
 from .errors import DimensionError
 from .fock import FockVector, quadratures
-from .states import (
-    DeformedState,
-    StateKind,
-    cat_norm_sq,
-    coherent_norm_sq,
-    read_only,
-    require_normalized,
-    table_size,
-)
+from .states import DeformedState, StateKind, cat_norm_sq, coherent_norm_sq, require_normalized
 
 
 @dataclass(frozen=True)
@@ -92,18 +81,6 @@ def metric_quadratures(tau: float, cutoff: int) -> tuple[np.ndarray, np.ndarray]
     y, z = quadratures(cutoff)
     z2 = z @ z
     return y + tau * (z2 @ y + y @ z2) / 2.0, z
-
-
-@functools.lru_cache(maxsize=None)
-def _oracle_rows(size: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The alpha- and tau-independent rows of the oracles, shared read-only.
-
-    The level n as a float and sqrt((n+1)_4) = sqrt((n+1)(n+2)(n+3)(n+4))
-    for n < size, and the ladder factor sqrt(n / 2) for n = 1..size-1.
-    """
-    n = np.arange(size, dtype=np.float64)
-    band = np.sqrt((n + 1.0) * (n + 2.0) * (n + 3.0) * (n + 4.0))
-    return read_only(n, band, np.sqrt(np.arange(1.0, size)) / math.sqrt(2.0))
 
 
 def _vector_of(state: DeformedState | FockVector) -> FockVector:
@@ -289,7 +266,7 @@ def quad_moments_oracle(state: DeformedState | FockVector, tau: float) -> Quadra
     k = c.size
     if k < 6:
         raise DimensionError("quadrature oracle needs cutoff >= 6")
-    s = _oracle_rows(table_size(k))[2][: k - 1]
+    s = np.sqrt(np.arange(1.0, k)) / math.sqrt(2.0)
     yc, zc = _y_and_z(c, s)
     zyc = _y_and_z(yc, s)[1]
     zzc = _y_and_z(zc, s)[1]
@@ -404,17 +381,16 @@ def mandel_oracle(state: DeformedState | FockVector, tau: float) -> NumberMoment
     """
     c = _vector_of(state).coeffs
     k = c.size
-    levels, band, _ = _oracle_rows(table_size(k))
     if tau == 0.0:
         weights = np.abs(c) ** 2
-        n = levels[:k]
+        n = np.arange(k, dtype=np.float64)
     else:
         n_max = k - 4  # perturbed eigenvectors need the +4 sideband in range
         if n_max < 1:
             raise DimensionError(f"Mandel oracle needs cutoff >= 5 at tau > 0, got {k}")
-        n = levels[:n_max]
+        n = np.arange(n_max, dtype=np.float64)
         # (tau/16) sqrt((m+1)_4): the |m+4> entry of |phi_m>, minus the |m> entry of |phi_(m+4)>
-        side = (tau / 16.0) * band[:n_max]
+        side = (tau / 16.0) * np.sqrt((n + 1.0) * (n + 2.0) * (n + 3.0) * (n + 4.0))
         proj = c[:n_max] + side * c[4:]
         below = proj[4:]
         below -= side[: below.size] * c[: below.size]

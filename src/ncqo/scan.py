@@ -27,16 +27,13 @@ the cutoff tail check, whose coefficients overflow or whose automatic
 cutoff passes fock.MAX_CUTOFF carry a NaN sentinel and valid = warn =
 False instead of aborting the scan; an explicit cutoff above MAX_CUTOFF
 is a ConfigError. CSV rows are written with one printf-style format,
-floats at 17 significant digits, and every output file is overwritten in
-place (_write_text).
+floats at 17 significant digits.
 """
 
 from __future__ import annotations
 
 import json
 import math
-import os
-import stat
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -262,58 +259,45 @@ def run_scan(spec: ScanSpec) -> ScanTable:
 _CSV_ROW = "%.17g,%.17g,%.17g,%.17g,%s,%s"
 
 
-def _write_text(path: str, text: str) -> None:
-    """Write text to path, in place over any old content.
-
-    A regular file is cut to the new length before the write and never to
-    zero: on ext4, truncating a non-empty file to zero (as opening with
-    "w" does) makes the close start writeback, which costs several times
-    the write itself. Other targets (/dev/null, a FIFO) are just written.
-    """
-    data = text.encode()
-    fd = os.open(path, os.O_WRONLY | os.O_CREAT, 0o666)
-    with open(fd, "wb") as fh:
-        if stat.S_ISREG(os.fstat(fd).st_mode):
-            os.ftruncate(fd, len(data))
-        fh.write(data)
-
-
 def emit(table: ScanTable, format: str, path: str) -> None:
     """Write a scan table as CSV or JSON (floats at 17 significant digits)."""
     if format not in ("csv", "json"):
         raise ConfigError(f"unknown format {format!r}")
-    if format == "csv":
-        lines = [CSV_HEADER]
-        lines.extend(
-            _CSV_ROW
-            % (
-                r.re_alpha,
-                r.im_alpha,
-                r.tau,
-                r.value,
-                "true" if r.valid else "false",
-                "true" if r.warn else "false",
-            )
-            for r in table.rows
-        )
-        text = "\n".join(lines) + "\n"
-    else:
-        payload = {
-            "metadata": table.metadata,
-            "rows": [
-                {
-                    "re_alpha": r.re_alpha,
-                    "im_alpha": r.im_alpha,
-                    "tau": r.tau,
-                    "value": r.value,
-                    "valid": r.valid,
-                    "warn": r.warn,
-                }
-                for r in table.rows
-            ],
-        }
-        text = json.dumps(payload, indent=1) + "\n"
     try:
-        _write_text(path, text)
+        if format == "csv":
+            lines = [CSV_HEADER]
+            lines.extend(
+                _CSV_ROW
+                % (
+                    r.re_alpha,
+                    r.im_alpha,
+                    r.tau,
+                    r.value,
+                    "true" if r.valid else "false",
+                    "true" if r.warn else "false",
+                )
+                for r in table.rows
+            )
+            with open(path, "w", newline="") as fh:
+                fh.write("\n".join(lines) + "\n")
+        else:
+            payload = {
+                "metadata": table.metadata,
+                "rows": [
+                    {
+                        "re_alpha": r.re_alpha,
+                        "im_alpha": r.im_alpha,
+                        "tau": r.tau,
+                        "value": r.value,
+                        "valid": r.valid,
+                        "warn": r.warn,
+                    }
+                    for r in table.rows
+                ],
+            }
+            with open(path, "w") as fh:
+                json.dump(payload, fh, indent=1)
+                fh.write("\n")
     except OSError as exc:
         raise OSError(f"failed writing scan output to {path}: {exc}") from exc
+

@@ -16,7 +16,7 @@ and are never used to scale the vector. Two coefficient modes exist:
   large-tau figure reproduction where the first-order coefficients blow up.
 
 The alpha-independent rows (log n!, 1/sqrt(n!), n!/(n-4)! and the tau/mode
-factors of coefficient_table) are built once per size bucket, table_size(K),
+factors of coefficient_table) are built once per size bucket, _table_size(K),
 and shared read-only: each row is elementwise in n or a prefix sum or
 product, so its first K entries equal the row built at K, bit for bit.
 """
@@ -110,14 +110,14 @@ def perturbative_warning_indicator(alpha: complex, tau: float) -> bool:
     return (1.0 - tau * r - tau * r**2 / 4.0) < 0.5
 
 
-def table_size(cutoff: int) -> int:
+def _table_size(cutoff: int) -> int:
     """The size a cutoff's shared tables are built at: the power of two >= cutoff, at least 32."""
     if cutoff < 0:
         raise ValueError("cutoff >= 0 required")
     return max(32, 1 << (cutoff - 1).bit_length())
 
 
-def read_only(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:
+def _read_only(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:
     """The arrays, each made read-only in place, for a cache that shares them."""
     for a in arrays:
         a.flags.writeable = False
@@ -130,7 +130,7 @@ def _factorial_rows(size: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     log_fact = np.zeros(size)
     log_fact[1:] = np.cumsum(np.log(np.arange(1, size)))
     m = np.arange(4, size)
-    return read_only(log_fact, np.exp(-0.5 * log_fact), (m - 3) * (m - 2) * (m - 1) * m)
+    return _read_only(log_fact, np.exp(-0.5 * log_fact), (m - 3) * (m - 2) * (m - 1) * m)
 
 
 @functools.lru_cache(maxsize=64)
@@ -146,14 +146,14 @@ def _mode_rows(tau: float, exact: bool, size: int) -> tuple:
         # 1/sqrt(f^2(n)!) as a running product of f^2(k)^(-1/2): the factorial itself overflows
         inv_f = np.cumprod(np.concatenate(([1.0], f2[1:size] ** -0.5)))
         ratio_dn = quad[: size - 4] ** 0.5  # f^2(n-3) ... f^2(n), n >= 4
-        return read_only(quad**-0.5, ratio_dn, inv_f)
+        return _read_only(quad**-0.5, ratio_dn, inv_f)
     n = np.arange(size)
-    return (1.0, 1.0, *read_only(1.0 - tau * n * (3 + n) / 8.0))
+    return (1.0, 1.0, *_read_only(1.0 - tau * n * (3 + n) / 8.0))
 
 
 def log_factorials(k: int) -> np.ndarray:
     """log(n!) for n < k, as a cumulative sum of logs; read-only."""
-    return _factorial_rows(table_size(k))[0][:k]
+    return _factorial_rows(_table_size(k))[0][:k]
 
 
 def coefficient_table(alpha, tau: float, cutoff: int, exact: bool = False) -> np.ndarray:
@@ -172,7 +172,7 @@ def coefficient_table(alpha, tau: float, cutoff: int, exact: bool = False) -> np
     columns of a table built at a larger cutoff equal the table built at k.
     The n-only rows come from the shared tables (see the module docstring).
     """
-    size = table_size(cutoff)
+    size = _table_size(cutoff)
     below = max(cutoff - 4, 0)
     ratio_up, ratio_dn, inv_f = _mode_rows(float(tau), bool(exact), size)
     if exact:
@@ -189,7 +189,7 @@ def raw_coherent_coeffs(alpha, tau: float, cutoff: int, exact: bool = False) -> 
 
     Broadcasts over an array of alpha like coefficient_table.
     """
-    inv_sqrt_factorial = _factorial_rows(table_size(cutoff))[1][:cutoff]
+    inv_sqrt_factorial = _factorial_rows(_table_size(cutoff))[1][:cutoff]
     return coefficient_table(alpha, tau, cutoff, exact) * inv_sqrt_factorial
 
 

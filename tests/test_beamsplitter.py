@@ -8,8 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ncqo import beamsplitter as bs
-from ncqo.errors import CutoffError
-from ncqo.fock import FockVector, basis_state
+from ncqo.errors import CutoffError, DimensionError
+from ncqo.fock import MAX_CUTOFF, FockVector, basis_state
 from ncqo.states import StateFamily, StateKind, build_coherent
 
 
@@ -61,6 +61,20 @@ class TestSplitFock:
     def test_rejects_negative(self):
         with pytest.raises(ValueError):
             bs.split_fock(-1, bs.SplitterParams())
+
+    def test_rejects_cutoff_past_max(self):
+        # the shared binomial table stops at the MAX_CUTOFF bucket: a larger
+        # cutoff raises before any table is built or kept
+        p = bs.SplitterParams()
+        kept = bs._binomial_table.cache_info().currsize
+        with pytest.raises(DimensionError, match="exceeds supported maximum"):
+            bs.split_fock(600, p)
+        with pytest.raises(DimensionError):
+            bs.splitter_tables(MAX_CUTOFF + 1, p)
+        with pytest.raises(DimensionError):
+            bs.linear_entropy_closed(1.0, 0.0, p, 600)
+        assert bs._binomial_table.cache_info().currsize == kept
+        assert bs.split_fock(MAX_CUTOFF - 1, p).shape == (MAX_CUTOFF, MAX_CUTOFF)
 
 
 class TestSplitState:

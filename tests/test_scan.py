@@ -441,7 +441,7 @@ class TestEmitParse:
 
     @pytest.mark.parametrize("fmt", ["csv", "json"])
     def test_overwrite_equals_fresh_write(self, tmp_path, fmt):
-        # emit writes in place: a shorter table over a longer file leaves no stale bytes
+        # a shorter table over a longer file leaves no stale bytes, and the reverse
         short = scan.run_scan(_spec("R", "coherent", (1, 1, 1), (0, 0, 1), (0.0,)))
         long = scan.run_scan(_spec("R", "cat-even", (0, 2, 9), (0, 1, 3), (0.0, 0.1)))
         for name, first, second in (("shrink", long, short), ("grow", short, long)):

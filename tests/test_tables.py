@@ -1,9 +1,9 @@
 """The shared alpha-independent tables: read-only, order-independent, bounded.
 
-states, beamsplitter and observables build their n-only rows and the
-splitter's binomial table once per states.table_size and serve prefix
-slices of them. These tests hold every served slice to a table built at
-exactly the cutoff asked for, in either order of arrival.
+states and beamsplitter build their n-only rows and the splitter's
+binomial table once per states._table_size and serve prefix slices of
+them. These tests hold every served slice to a table built at exactly the
+cutoff asked for, in either order of arrival.
 """
 
 import math
@@ -12,7 +12,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from ncqo import beamsplitter, observables, scan, states
+from ncqo import beamsplitter, scan, states
 from ncqo.beamsplitter import SplitterParams
 from ncqo.states import StateFamily, StateKind
 
@@ -24,7 +24,6 @@ def _clear_tables():
         states._factorial_rows,
         states._mode_rows,
         beamsplitter._binomial_table,
-        observables._oracle_rows,
     ):
         cached.cache_clear()
 
@@ -51,11 +50,11 @@ def _raw_at(alpha, tau, k, exact):
 
 
 def test_table_size_buckets():
-    assert [states.table_size(k) for k in (0, 1, 30, 32, 33, 61, 64, 65, 512)] == [
+    assert [states._table_size(k) for k in (0, 1, 30, 32, 33, 61, 64, 65, 512)] == [
         32, 32, 32, 32, 64, 64, 64, 128, 512,
     ]
     with pytest.raises(ValueError):
-        states.table_size(-1)
+        states._table_size(-1)
 
 
 def test_shared_arrays_are_read_only():
@@ -64,7 +63,7 @@ def test_shared_arrays_are_read_only():
     shared = [states.log_factorials(40), total, sqrt_binom]
     shared += [a for a in states._mode_rows(0.5, True, 64) if isinstance(a, np.ndarray)]
     shared += list(states._mode_rows(0.5, False, 64)[2:])
-    shared += list(states._factorial_rows(64)) + list(observables._oracle_rows(64))
+    shared += list(states._factorial_rows(64))
     for a in shared:
         assert not a.flags.writeable
         with pytest.raises(ValueError):
