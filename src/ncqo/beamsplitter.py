@@ -114,13 +114,15 @@ def _amplitude_matrix(coeffs: np.ndarray, tables: tuple) -> np.ndarray:
     """
     k = coeffs.shape[-1]
     total, sqrt_binom, t_pow, r_pow = tables
-    total = total[:k, :k]
-    inside = total < k
-    amp = np.take(coeffs, np.where(inside, total, 0), axis=-1)
-    amp *= sqrt_binom[:k, :k]
-    amp *= t_pow[:k, None]
+    # index k of the row padded with one zero serves every q + m >= k
+    padded = np.concatenate((coeffs, np.zeros(coeffs.shape[:-1] + (1,), np.complex128)), axis=-1)
+    amp = np.take(padded, np.minimum(total[:k, :k], k), axis=-1)
+    # the real factors scale both parts of each entry, on the float64 view:
+    # the bits of a complex times real product, without the complex multiply
+    parts = amp.view(np.float64)
+    parts *= np.repeat(sqrt_binom[:k, :k], 2, axis=-1)
+    parts *= t_pow[:k, None]
     amp *= r_pow[:k]
-    amp[..., ~inside] = 0.0
     return amp
 
 

@@ -11,13 +11,19 @@ one tau slice at a time, on one of two paths:
   and its valid flag from the same (R, U, U~), so every bit equals the
   one-cell quad_moments_closed / mandel_closed and cat_validity_value.
 * State quantities (entropy, photon_dist): the slice's coherent
-  coefficient rows are built once at its largest cutoff, the cells that
-  share a cutoff K are turned into normalized states by states.state_rows,
-  in chunks of at most STATE_CHUNK_ENTRIES // K^2 cells, and each chunk is
+  coefficient rows are built once at its largest bound B = default_cutoff
+  (or the explicit cutoff). An automatic cutoff K is then sized per row
+  by states.sized_cutoffs, a multiple of 8 below B wherever the row's
+  tail allows, so neighbouring cells share K. The cells that share a
+  cutoff K are turned into normalized states by states.state_rows, in
+  chunks of at most STATE_CHUNK_ENTRIES // K^2 cells, and each chunk is
   reduced to one value per cell: the stacked (cells, K, K) splitter
   kernel for entropy, P(fock_n) for photon_dist (0.0 where fock_n >= K).
-  Every cell gets the same bits as the one-cell build_state followed by
-  beamsplitter.entropy_for_kind or observables.photon_distribution.
+  A sized K that fails the tail check is tried again at B. Every cell
+  gets the same bits as the one-cell build_state followed by
+  beamsplitter.entropy_for_kind or observables.photon_distribution. The
+  metadata of these scans counts the cells evaluated at each cutoff, as
+  "cutoffs": {"K": cells}.
 
 Every cell's valid flag follows one rule, written in _closed_slice: a
 coherent cell is always valid, a cat cell is valid where
@@ -34,6 +40,7 @@ from __future__ import annotations
 
 import json
 import math
+from collections import Counter
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -57,6 +64,7 @@ from .states import (
     default_cutoff,
     perturbative_warning_indicator,
     raw_coherent_coeffs,
+    sized_cutoffs,
     state_rows,
 )
 
@@ -177,46 +185,58 @@ def _closed_slice(spec: ScanSpec, alphas: list, tau: float, index: int | None) -
     return rows
 
 
-def _state_slice(spec: ScanSpec, alphas: list, tau: float) -> list:
+def _state_slice(spec: ScanSpec, alphas: list, tau: float) -> tuple[list, list]:
     """The entropy or photon_dist rows of one tau slice, by cutoff group and chunk.
 
-    Each cell's valid and warn flags are those of its closed R cell.
+    Each cell's valid and warn flags are those of its closed R cell. Also
+    returns the cutoff each cell was evaluated at, for the cells that got
+    a coefficient row.
     """
     parity = spec.family.parity
     closed = _closed_slice(spec, alphas, tau, CLOSED_QUADRATURE_NAMES.index("R"))
-    wanted = [default_cutoff(alpha) if spec.cutoff is None else spec.cutoff for alpha in alphas]
+    bounds = [default_cutoff(alpha) if spec.cutoff is None else spec.cutoff for alpha in alphas]
     # a cell whose automatic cutoff passes MAX_CUTOFF is a NaN row: no table is built for it
     live = [
         i
         for i, alpha in enumerate(alphas)
-        if not _degenerate(spec, alpha) and wanted[i] <= MAX_CUTOFF
+        if not _degenerate(spec, alpha) and bounds[i] <= MAX_CUTOFF
     ]
-    values = {}
+    values, cutoffs = {}, np.zeros(0, dtype=int)
     if live:
-        cutoffs = np.array([wanted[i] for i in live])
-        k_max = int(cutoffs.max())
+        bound = np.array([bounds[i] for i in live])
+        k_max = int(bound.max())
         raw = raw_coherent_coeffs(np.array([alphas[i] for i in live]), tau, k_max, spec.exact)
+        cutoffs = np.array(sized_cutoffs(raw, bound.tolist())) if spec.cutoff is None else bound
         entropy = spec.quantity is Quantity.ENTROPY
         tables = splitter_tables(k_max, spec.splitter) if entropy else None
-        for k in sorted(set(cutoffs.tolist())):
-            group = np.flatnonzero(cutoffs == k)
-            step = max(1, STATE_CHUNK_ENTRIES // (k * k))
-            for start in range(0, group.size, step):
-                chunk = group[start : start + step]
-                ok, vectors, _ = state_rows(raw[chunk, :k], parity)
-                if entropy:
-                    out = linear_entropy_rows(vectors, tables)
-                else:
-                    probs = photon_distribution_rows(vectors)
-                    out = probs[:, spec.fock_n] if spec.fock_n < k else np.zeros(len(probs))
-                values.update(zip((live[j] for j in chunk[ok]), out.tolist()))
+        pending = np.arange(len(live))
+        while pending.size:
+            failed = []
+            for k in sorted(set(cutoffs[pending].tolist())):
+                group = pending[cutoffs[pending] == k]
+                step = max(1, STATE_CHUNK_ENTRIES // (k * k))
+                for start in range(0, group.size, step):
+                    chunk = group[start : start + step]
+                    ok, vectors, _ = state_rows(raw[chunk, :k], parity)
+                    if entropy:
+                        out = linear_entropy_rows(vectors, tables)
+                    else:
+                        probs = photon_distribution_rows(vectors)
+                        out = probs[:, spec.fock_n] if spec.fock_n < k else np.zeros(len(probs))
+                    values.update(zip((live[j] for j in chunk[ok]), out.tolist()))
+                    failed.append(chunk[~ok])
+            # a sized cutoff that fails tail_converged (a rounding-level
+            # disagreement with sized_cutoffs) falls back to the cell's bound
+            failed = np.concatenate(failed)
+            pending = failed[cutoffs[failed] < bound[failed]]
+            cutoffs[pending] = bound[pending]
     rows = []
     for i, (alpha, cell) in enumerate(zip(alphas, closed)):
         if i in values:
             rows.append(ScanRow(alpha.real, alpha.imag, tau, values[i], cell.valid, cell.warn))
         else:
             rows.append(_nan_row(alpha, tau))
-    return rows
+    return rows, cutoffs.tolist()
 
 
 def run_scan(spec: ScanSpec) -> ScanTable:
@@ -225,9 +245,13 @@ def run_scan(spec: ScanSpec) -> ScanTable:
     re_values, im_values = spec.grid.re_values, spec.grid.im_values
     alphas = [complex(re, im) for im in im_values for re in re_values]
     rows = []
+    used = Counter()
+    state = spec.quantity in (Quantity.ENTROPY, Quantity.PHOTON_DIST)
     for tau in spec.tau_list:
-        if spec.quantity in (Quantity.ENTROPY, Quantity.PHOTON_DIST):
-            rows.extend(_state_slice(spec, alphas, tau))
+        if state:
+            slice_rows, cutoffs = _state_slice(spec, alphas, tau)
+            rows.extend(slice_rows)
+            used.update(cutoffs)
         elif spec.quantity is Quantity.MANDEL:
             rows.extend(_closed_slice(spec, alphas, tau, None))
         else:
@@ -252,6 +276,9 @@ def run_scan(spec: ScanSpec) -> ScanTable:
             "im_steps": spec.grid.im_steps,
         },
     }
+    if state:
+        # cells evaluated at each cutoff; string keys survive a JSON round trip
+        metadata["cutoffs"] = {str(k): n for k, n in sorted(used.items())}
     return ScanTable(rows=tuple(rows), metadata=metadata)
 
 

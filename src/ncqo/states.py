@@ -5,7 +5,8 @@ coherent coefficient rows raw(alpha) it applies the cutoff tail check,
 forms the cat combination and renormalizes each row. Scans call it on
 whole tau slices; build_state (and build_coherent / build_cat) call it on
 one row and raise CutoffError where the row fails the tail check (NcqoError
-where its coefficients overflowed).
+where its coefficients overflowed). Both take an automatic cutoff from
+sized_cutoffs, below default_cutoff wherever the row's own tail allows.
 States are always renormalized numerically after truncation; the closed
 first-order normalization constants are kept as metadata for cross-checks
 and are never used to scale the vector. Two coefficient modes exist:
@@ -35,6 +36,7 @@ from .fock import FockVector
 
 MIN_CAT_ODD_ALPHA = 1e-3
 TAIL_PROBABILITY = 1e-12
+CUTOFF_STEP = 8  # automatic cutoffs below default_cutoff are multiples of this
 
 
 class StateFamily(Enum):
@@ -90,7 +92,12 @@ def cat_norm_sq(alpha: complex, tau: float, parity: int) -> float:
 
 
 def default_cutoff(alpha: complex) -> int:
-    """Poisson tail plus the +4 sideband of the perturbed eigenvectors."""
+    """The bound B of the automatic cutoff: Poisson tail plus the +4 sideband.
+
+    Rows are built at B, and sized_cutoffs takes each cell's cutoff at or
+    below it from the row's own tail. B alone decides whether a cell fits
+    at all: a cell whose B passes fock.MAX_CUTOFF gets no table in a scan.
+    """
     r = abs(alpha) ** 2
     return max(30, math.ceil(r + 8.0 * math.sqrt(r + 1.0) + 8.0))
 
@@ -199,9 +206,44 @@ def tail_converged(raw: np.ndarray) -> np.ndarray:
     A row whose total weight is not finite (its coefficients overflowed)
     or is zero fails.
     """
-    total = np.sum(np.abs(raw) ** 2, axis=-1)
-    tail = np.sum(np.abs(raw[..., -4:]) ** 2, axis=-1)
-    return np.isfinite(total) & (total != 0.0) & ~(tail > TAIL_PROBABILITY * total)
+    weight = np.abs(raw) ** 2
+    total = weight.sum(axis=-1)
+    tail = weight[..., -4:].sum(axis=-1)
+    return np.isfinite(total) & (total != 0.0) & (tail <= TAIL_PROBABILITY * total)
+
+
+def sized_cutoffs(raw: np.ndarray, bounds) -> list[int]:
+    """The automatic cutoff of each coherent row raw(alpha) of (cells, W), from its own tail.
+
+    bounds holds each row's B = default_cutoff(alpha), at most W. A row
+    that passes the tail test at B is cut at the smallest multiple K of
+    CUTOFF_STEP, at least 2 CUTOFF_STEP and below B, at which both
+    (a) the row cut at K passes the tail test, and
+    (b) its levels K ... B-1 hold at most TAIL_PROBABILITY of the weight
+        below B, so a first-order factor that dips through zero inside
+        the top four levels cannot pass (a) by chance.
+    Every other row keeps B: one without such a K, one that fails the
+    tail test at B (today's NaN cells stay NaN) and one whose weight below
+    B is not finite and positive.
+
+    The tests read one cumulative sum of |raw|^2, so at rounding level
+    they can disagree with tail_converged; callers then fall back to B.
+    """
+    weights = (np.abs(raw) ** 2).cumsum(axis=-1).tolist()
+    cutoffs = []
+    for weight, bound in zip(weights, bounds):
+        full = weight[bound - 1]
+        cutoff = bound
+        if 0.0 < full < math.inf and full - weight[bound - 5] <= TAIL_PROBABILITY * full:
+            for k in range(2 * CUTOFF_STEP, bound, CUTOFF_STEP):
+                total = weight[k - 1]
+                if full - total <= TAIL_PROBABILITY * full and (
+                    total - weight[k - 5] <= TAIL_PROBABILITY * total
+                ):
+                    cutoff = k
+                    break
+        cutoffs.append(cutoff)
+    return cutoffs
 
 
 def cat_combination(raw: np.ndarray, parity: int) -> np.ndarray:
@@ -218,7 +260,7 @@ def cat_combination(raw: np.ndarray, parity: int) -> np.ndarray:
 
 def normalized_rows(raw: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """raw / ||raw|| along the last axis, and ||raw||^2 before renormalization."""
-    numeric = np.sum(np.abs(raw) ** 2, axis=-1)
+    numeric = (np.abs(raw) ** 2).sum(axis=-1)
     return raw / np.sqrt(numeric)[..., None], numeric
 
 
@@ -278,14 +320,19 @@ class DeformedState:
 def build_state(kind: StateKind, cutoff: int | None = None, exact: bool = False) -> DeformedState:
     """Normalized state of a template: state_rows on its one coherent row.
 
-    cutoff None takes default_cutoff(alpha); a cutoff that fails the tail
-    check raises CutoffError with a suggested cutoff, and coefficients that
-    overflow raise NcqoError (see cutoff_error).
+    cutoff None builds the row at B = default_cutoff(alpha) and cuts it at
+    sized_cutoffs(row, B), as scans do, or at B where that cutoff fails
+    tail_converged. A cutoff that fails the tail check raises CutoffError
+    with a suggested cutoff, and coefficients that overflow raise NcqoError
+    (see cutoff_error).
     """
     alpha, tau, parity = kind.alpha, kind.tau, kind.family.parity
-    cutoff = default_cutoff(alpha) if cutoff is None else cutoff
-    raw = raw_coherent_coeffs(alpha, tau, cutoff, exact)
-    ok, vectors, numeric = state_rows(raw[None], parity)
+    bound = default_cutoff(alpha) if cutoff is None else cutoff
+    raw = raw_coherent_coeffs(alpha, tau, bound, exact)
+    sized = bound if cutoff is not None else sized_cutoffs(raw[None], (bound,))[0]
+    ok, vectors, numeric = state_rows(raw[None, :sized], parity)
+    if not ok[0] and sized < bound:
+        ok, vectors, numeric = state_rows(raw[None], parity)
     if not ok[0]:
         raise cutoff_error(alpha, raw)
     closed = cat_norm_sq(alpha, tau, parity) if parity else coherent_norm_sq(alpha, tau)

@@ -142,6 +142,38 @@ def test_stacked_kernel_equals_one_row_path(k, cells, extra, seed, theta, phi):
         assert np.float64(one).tobytes() == s.tobytes()
 
 
+def _masked_amplitude_matrix(coeffs, tables):
+    """The amplitude matrix in its where-and-mask form, the reference of the padded gather."""
+    k = coeffs.shape[-1]
+    total, sqrt_binom, t_pow, r_pow = tables
+    total = total[:k, :k]
+    inside = total < k
+    amp = np.take(coeffs, np.where(inside, total, 0), axis=-1)
+    amp *= sqrt_binom[:k, :k]
+    amp *= t_pow[:k, None]
+    amp *= r_pow[:k]
+    amp[..., ~inside] = 0.0
+    return amp
+
+
+@pytest.mark.parametrize("phi", [0.0, 1.3])
+@pytest.mark.parametrize("theta", [0.0, 0.7, 1.1, math.pi / 2, math.pi])
+def test_amplitude_matrix_equals_masked_form(theta, phi):
+    # the same values (zeros may carry either sign) and the same entropy bits
+    rng = np.random.default_rng(11)
+    params = bs.SplitterParams(theta, phi)
+    for k in (30, 31, 46, 61):
+        rows = rng.normal(size=(3, k)) + 1j * rng.normal(size=(3, k))
+        rows /= np.linalg.norm(rows, axis=1, keepdims=True)
+        for tables in (bs.splitter_tables(k, params), bs.splitter_tables(64, params)):
+            got = bs._amplitude_matrix(rows, tables)
+            want = _masked_amplitude_matrix(rows, tables)
+            assert np.array_equal(got, want)
+            s_got = bs.linear_entropy_oracle(bs.reduced_density(got))
+            s_want = bs.linear_entropy_oracle(bs.reduced_density(want))
+            assert s_got.tobytes() == s_want.tobytes()
+
+
 class TestReducedDensity:
     def test_trace_one_and_hermitian(self):
         st_ = build_coherent(0.8 - 0.3j, 1e-3, cutoff=40)

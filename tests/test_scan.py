@@ -4,10 +4,14 @@ import json
 import math
 import os
 import stat
+from collections import Counter
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from ncqo import scan
+from ncqo import scan, states
 from ncqo.beamsplitter import SplitterParams, entropy_for_kind
 from ncqo.cli import main
 from ncqo.errors import ConfigError, CutoffError
@@ -21,12 +25,16 @@ from ncqo.observables import (
 )
 from ncqo.states import (
     MIN_CAT_ODD_ALPHA,
+    TAIL_PROBABILITY,
     StateFamily,
     StateKind,
     build_cat,
     build_state,
     default_cutoff,
     perturbative_warning_indicator,
+    raw_coherent_coeffs,
+    sized_cutoffs,
+    tail_converged,
 )
 from scan_io import parse_csv, parse_json, rows_equal, tables_equal
 
@@ -91,6 +99,7 @@ class TestRunScan:
         md = table.metadata
         assert md["quantity"] == "entropy"
         assert md["cutoff"] == 40
+        assert md["cutoffs"] == {"40": 1}
         assert md["tool_version"]
         assert md["grid"]["re_steps"] == 1
 
@@ -250,6 +259,29 @@ class TestBatchedEntropy:
                 default_cutoff(complex(x, y)) for y in grid.im_values for x in grid.re_values
             }
         assert min(cutoffs) == 30 and max(cutoffs) == 61 and len(cutoffs) > 10
+        # the cutoffs the scans use, one per cell as build_state takes it, mix
+        # sized multiples of 8 below default_cutoff with kept default cutoffs
+        sized = kept = 0
+        for family in StateFamily:
+            for exact in (False, True):
+                for re, im in self.GRIDS:
+                    spec = _spec("entropy", family.value, re, im, self.TAUS, exact=exact)
+                    table = scan.run_scan(spec)
+                    used = Counter()
+                    for row in table.rows:
+                        alpha = complex(row.re_alpha, row.im_alpha)
+                        if family is StateFamily.CAT_ODD and abs(alpha) < MIN_CAT_ODD_ALPHA:
+                            continue
+                        bound = default_cutoff(alpha)
+                        try:
+                            k = build_state(StateKind(family, alpha, row.tau), None, exact).cutoff
+                        except CutoffError:
+                            k = bound
+                        used[k] += 1
+                        sized += k < bound
+                        kept += k == bound
+                    assert table.metadata["cutoffs"] == {str(k): n for k, n in sorted(used.items())}
+        assert sized and kept
 
     def test_nan_rows(self):
         odd = scan.run_scan(_spec("entropy", "cat-odd", (0.0, 4.0, 5), (0.0, 0.0, 1), (0.0,)))
@@ -267,6 +299,93 @@ class TestBatchedEntropy:
         assert (row.re_alpha, row.tau) == (2.0, 0.05)
         assert math.isnan(row.value)
         assert not row.valid and not row.warn
+
+
+class TestAutomaticCutoff:
+    """Automatic cutoffs sized from each row's own tail, in scans and in build_state."""
+
+    # the tau-aware cutoff grid: 20 x 20 over [0.1, 4]^2
+    GRID = scan.GridSpec(0.1, 4.0, 20, 0.1, 4.0, 20)
+    GRID_TAUS = (0.0, 1e-3, 1e-2, 0.5)
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(
+        st.complex_numbers(
+            min_magnitude=0.01, max_magnitude=4.0, allow_nan=False, allow_infinity=False
+        ),
+        st.sampled_from((0.0, 1e-3, 1e-2, 0.5, 2.0)),
+        st.booleans(),
+        st.sampled_from(list(StateFamily)),
+    )
+    def test_sized_cutoff_rules(self, alpha, tau, exact, family):
+        bound = default_cutoff(alpha)
+        raw = raw_coherent_coeffs(alpha, tau, bound, exact)
+        (k,) = sized_cutoffs(raw[None], [bound])
+        assert k == bound or (k % 8 == 0 and 16 <= k < bound)
+        weight = np.abs(raw) ** 2
+
+        def fits(j):
+            # (a) the row cut at j passes the tail test, (b) levels j ... B-1
+            # hold at most TAIL_PROBABILITY of the weight below B
+            return bool(tail_converged(raw[:j])) and (
+                np.sum(weight[j:]) <= TAIL_PROBABILITY * np.sum(weight)
+            )
+
+        if k < bound:
+            assert fits(k) and tail_converged(raw)
+        assert not any(fits(j) for j in range(16, k, 8))
+        # build_state cuts the row where a one-cell scan does
+        grid = scan.GridSpec(alpha.real, alpha.real, 1, alpha.imag, alpha.imag, 1)
+        table = scan.run_scan(
+            scan.ScanSpec(scan.Quantity.PHOTON_DIST, family, grid, (tau,), exact=exact)
+        )
+        try:
+            state = build_state(StateKind(family, alpha, tau), None, exact)
+        except CutoffError:
+            assert k == bound and math.isnan(table.rows[0].value)
+            assert table.metadata["cutoffs"] == {str(bound): 1}
+        else:
+            assert state.cutoff == k
+            assert table.metadata["cutoffs"] == {str(k): 1}
+
+    @pytest.mark.parametrize("exact", [False, True])
+    @pytest.mark.parametrize("family", list(StateFamily))
+    def test_nan_cells_fail_the_tail_test_at_default_cutoff(self, family, exact):
+        grid = self.GRID
+        alphas = np.array([complex(x, y) for y in grid.im_values for x in grid.re_values])
+        bounds = [default_cutoff(a) for a in alphas]
+        table = scan.run_scan(
+            scan.ScanSpec(scan.Quantity.PHOTON_DIST, family, grid, self.GRID_TAUS, exact=exact)
+        )
+        failing = []
+        for tau in self.GRID_TAUS:
+            raw = raw_coherent_coeffs(alphas, tau, max(bounds), exact)
+            failing.extend(not tail_converged(row[:b]) for row, b in zip(raw, bounds))
+            assert all(k <= b for k, b in zip(sized_cutoffs(raw, bounds), bounds))
+        assert [math.isnan(r.value) for r in table.rows] == failing
+        # the NaN counts of this grid at default_cutoff, unchanged by the sizing
+        assert sum(failing) == (176 if exact else 686)
+        used = table.metadata["cutoffs"]
+        assert sum(used.values()) == len(table.rows)
+        assert max(map(int, used)) <= max(bounds)
+
+    def test_failed_sized_cutoff_falls_back_to_default_cutoff(self, monkeypatch):
+        # cut every row at 16: where the tail test fails there, the scan and
+        # build_state alike evaluate the cell at default_cutoff
+        def at_16(raw, bounds):
+            return [16] * len(bounds)
+
+        monkeypatch.setattr(states, "sized_cutoffs", at_16)
+        monkeypatch.setattr(scan, "sized_cutoffs", at_16)
+        spec = _spec("entropy", "cat-even", (0.1, 3.0, 6), (0.0, 1.0, 2), (0.0, 0.5), exact=True)
+        table = scan.run_scan(spec)
+        used = Counter()
+        for row in table.rows:
+            alpha = complex(row.re_alpha, row.im_alpha)
+            assert rows_equal(row, _one_cell_row(spec, alpha, row.tau))
+            used[build_state(StateKind(spec.family, alpha, row.tau), None, True).cutoff] += 1
+        assert used[16] and len(used) > 1
+        assert table.metadata["cutoffs"] == {str(k): n for k, n in sorted(used.items())}
 
 
 @pytest.mark.parametrize(
@@ -406,6 +525,19 @@ class TestEmitParse:
         back = parse_json(path)
         assert tables_equal(table, back)
         assert back.metadata == table.metadata
+
+    def test_json_round_trip_keeps_cutoff_counts(self, tmp_path):
+        spec = _spec("entropy", "cat-odd", (0.0, 3.0, 4), (0.0, 0.0, 1), (0.0, 2.0), exact=True)
+        table = scan.run_scan(spec)
+        # the degenerate odd cat at alpha = 0 gets no coefficient row, so no cutoff
+        assert sum(table.metadata["cutoffs"].values()) == 6
+        path = str(tmp_path / "t.json")
+        scan.emit(table, "json", path)
+        back = parse_json(path)
+        assert tables_equal(table, back)
+        assert back.metadata == table.metadata
+        closed = scan.run_scan(_spec("R", "cat-odd", (0.0, 3.0, 4), (0.0, 0.0, 1), (0.0,)))
+        assert "cutoffs" not in closed.metadata
 
     def test_csv_header_and_format(self, tmp_path):
         table = scan.run_scan(_spec("mandel", "coherent", (1, 1, 1), (0, 0, 1), (0.1,)))

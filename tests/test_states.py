@@ -171,6 +171,23 @@ def test_tail_check_rejects_overflowed_rows():
     assert states.tail_converged(rows).tolist() == [True, False, False, False]
 
 
+def test_sized_cutoffs_keep_the_bound_of_failing_rows():
+    # K = 30 fails the tail test for this exact-mode row, and overflowed rows have no finite weight
+    bound = states.default_cutoff(2.0)
+    failing = states.raw_coherent_coeffs(2.0, 0.05, bound, True)
+    assert not states.tail_converged(failing)
+    assert states.sized_cutoffs(failing[None], [bound]) == [bound]
+    rows = np.ones((3, 40), complex)
+    rows[1, 5] = np.inf
+    rows[2] = 0.0
+    assert states.sized_cutoffs(rows, [40, 40, 40]) == [40, 40, 40]
+    # each row of a stack is sized against its own bound, not the stack's width
+    stack = states.raw_coherent_coeffs(np.array([0.5, 2.0]), 0.0, 43, False)
+    assert states.default_cutoff(2.0) == 30
+    assert states.sized_cutoffs(stack, [30, 30]) == [16, 30]
+    assert states.sized_cutoffs(stack, [30, 43]) == [16, 32]
+
+
 @pytest.mark.parametrize("family", list(StateFamily))
 def test_overflowed_coefficients_raise(family):
     # alpha^n passes the float range inside the automatic cutoff from about |alpha| = 13
@@ -223,7 +240,9 @@ class TestBuildCoherent:
         assert not st_.perturbative_warning
         assert states.build_coherent(1.0, 1.0).perturbative_warning
         assert st_.kind == StateKind(StateFamily.COHERENT, 0.5 + 1.0j, 1e-3)
-        assert st_.cutoff == states.default_cutoff(0.5 + 1.0j)
+        # the automatic cutoff is default_cutoff, or a multiple of 8 from 16 below it
+        bound = states.default_cutoff(0.5 + 1.0j)
+        assert st_.cutoff == bound or (st_.cutoff % 8 == 0 and 16 <= st_.cutoff < bound)
 
 
 class TestBuildCat:
